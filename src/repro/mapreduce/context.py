@@ -27,18 +27,21 @@ class CountingSink:
 
     ``serialized_bytes`` uses the compact-encoding :func:`record_size`
     accounting, matching the shuffle counters; ``output`` is any
-    ``(key, value)`` callable (``shuffle.add``, a list collector, ...).
+    ``(key, value, size)`` callable (``shuffle.add``, a list collector, ...)
+    — the size measured here travels with the record, so a budgeted shuffle
+    downstream does not measure it a second time.
     """
 
-    def __init__(self, output: Callable[[Any, Any], None]) -> None:
+    def __init__(self, output: Callable[[Any, Any, int], None]) -> None:
         self._output = output
         self.num_records = 0
         self.serialized_bytes = 0
 
     def append(self, key: Any, value: Any) -> None:
-        self.serialized_bytes += record_size(key, value)
+        size = record_size(key, value)
+        self.serialized_bytes += size
         self.num_records += 1
-        self._output(key, value)
+        self._output(key, value, size)
 
 
 class TaskContext:
@@ -61,13 +64,14 @@ class TaskContext:
         self.cache = cache if cache is not None else DistributedCache()
         self.sink = sink
         self.output: List[Tuple[Any, Any]] = []
+        if sink is not None:
+            # Emission is the innermost call of every task: bind it straight
+            # to the sink instead of dispatching through ``emit`` per record.
+            self.emit = sink.append
 
     def emit(self, key: Any, value: Any) -> None:
-        """Emit one key-value pair."""
-        if self.sink is not None:
-            self.sink.append(key, value)
-        else:
-            self.output.append((key, value))
+        """Emit one key-value pair (buffered; a sink replaces this binding)."""
+        self.output.append((key, value))
 
     def increment(self, counter: str, amount: int = 1, group: str = "task") -> None:
         """Increment a user counter."""

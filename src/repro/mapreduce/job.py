@@ -75,6 +75,16 @@ class Partitioner:
         return stable_hash(key) % num_partitions
 
 
+def identity_key(key: Any) -> Any:
+    """The natural-order sort key; the shuffle recognises it by identity.
+
+    A comparator returning exactly this function from
+    :meth:`SortComparator.sort_key_function` lets the shuffle sort and group
+    records on their keys with C-level calls only.
+    """
+    return key
+
+
 class SortComparator:
     """Total order on map output keys within each partition.
 
@@ -103,7 +113,7 @@ class SortComparator:
         back to the comparator.
         """
         if type(self) is SortComparator:
-            return lambda key: key
+            return identity_key
         return None
 
 
@@ -209,4 +219,5 @@ __all__ = [
     "Reducer",
     "SortComparator",
     "TaskContext",
+    "identity_key",
 ]

@@ -279,7 +279,7 @@ class LocalJobRunner:
                 downstream = shuffle.add
             else:
                 collected = []
-                downstream = lambda key, value: collected.append((key, value))  # noqa: E731
+                downstream = lambda key, value, size: collected.append((key, value))  # noqa: E731
             combine_buffer = CombineBuffer(
                 job,
                 counters=counters,
@@ -297,9 +297,9 @@ class LocalJobRunner:
         input_records = 0
         for key, value in split:
             input_records += 1
-            counters.increment(counter_names.MAP_INPUT_RECORDS)
             mapper.map(key, value, context)
         mapper.cleanup(context)
+        counters.increment(counter_names.MAP_INPUT_RECORDS, input_records)
 
         if combine_buffer is not None:
             combine_buffer.flush()
@@ -317,7 +317,7 @@ class LocalJobRunner:
                 input_records=input_records,
                 output_records=combine_buffer.emitted_records,
                 output_bytes=combine_buffer.emitted_bytes,
-                sorted_records=combine_buffer.sorted_records,
+                sorted_records=combine_buffer.emitted_records,
                 elapsed_seconds=time.perf_counter() - started,
             )
             return collected, metrics
@@ -363,7 +363,7 @@ class LocalJobRunner:
         """The partition's records in sort order, streamed when spilled."""
         if isinstance(partition, PartitionInput):
             return partition.sorted_records(job.sort_comparator)
-        return iter(sort_partition(list(partition), job.sort_comparator))
+        return iter(sort_partition(partition, job.sort_comparator))
 
     def _run_reduce_task(
         self,
@@ -393,7 +393,6 @@ class LocalJobRunner:
             for key, values in group_sorted_records(sorted_stream, job.sort_comparator):
                 groups += 1
                 input_records += len(values)
-                counters.increment(counter_names.REDUCE_INPUT_RECORDS, len(values))
                 reducer.reduce(key, values, context)
             reducer.cleanup(context)
         except BaseException:
@@ -401,6 +400,7 @@ class LocalJobRunner:
             # failing reducer leaks neither a file handle nor an orphan shard.
             sink.abort()
             raise
+        counters.increment(counter_names.REDUCE_INPUT_RECORDS, input_records)
         counters.increment(counter_names.REDUCE_INPUT_GROUPS, groups)
         outcome = sink.finish()
         counters.increment(counter_names.REDUCE_OUTPUT_RECORDS, sink.num_records)

@@ -18,6 +18,24 @@ actually passes objects around (plain Python references), because what
 matters for the reproduction is the number of bytes a real Hadoop cluster
 would have shuffled.
 
+:func:`serialized_size` is called for every record at every boundary that
+reports bytes (map output, combiner output, reduce output, shards, store
+tables), so it has two paths:
+
+* **closed form** — a non-negative ``int`` is sized from its bit length, and
+  a flat tuple of non-negative ints (an n-gram key) as its length prefix
+  plus, per element, one lookup in a 256-entry table of varint lengths
+  indexed by bit length — no recursion, no ``isinstance`` ladder;
+* **generic ladder** — every other shape (negative integers, floats, text,
+  bytes, ``None``, nested tuples/lists, dicts, objects exposing
+  ``serialized_size()``) walks the type ladder recursively.
+
+Invariant: both paths yield the same number for every object, so
+``MAP_OUTPUT_BYTES``, ``SHUFFLE_BYTES``, ``SPILLED_BYTES`` and the
+``serialized_bytes`` of shards and store tables do not depend on which path
+sized a record.  A record is measured once per boundary: whoever sizes it
+(:class:`~repro.mapreduce.context.CountingSink`) hands the number on.
+
 The second half of the module is the on-disk record framing used by the
 external shuffle (:mod:`repro.mapreduce.shuffle`): spilled runs are streams
 of varint-length-prefixed pickled ``(key, value)`` frames, the same framing
@@ -32,9 +50,29 @@ from typing import Any, BinaryIO, Iterator, Optional, Tuple
 from repro.exceptions import SerializationError
 from repro.util.varint import encode_varint, encoded_length, read_stream_varint
 
+#: Varint length of a non-negative integer, indexed by its bit length.
+_VARINT_LENGTH = bytes(max(1, (bits + 6) // 7) for bits in range(256))
+#: Called unbound so that a non-integer element raises ``TypeError``.
+_bit_length = int.bit_length
+
 
 def serialized_size(obj: Any) -> int:
     """Return the number of bytes ``obj`` would occupy when serialised."""
+    kind = type(obj)
+    if kind is int:
+        if obj >= 0:
+            return (obj.bit_length() + 6) // 7 or 1
+    elif kind is tuple:
+        try:
+            size = _VARINT_LENGTH[len(obj).bit_length()]
+            for item in obj:
+                if item < 0:
+                    break  # bit_length ignores the sign: leave it to the ladder
+                size += _VARINT_LENGTH[_bit_length(item)]
+            else:
+                return size
+        except (TypeError, IndexError):
+            pass  # a non-integer element, or an integer beyond the table
     if obj is None:
         return 1
     if isinstance(obj, bool):

@@ -40,6 +40,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import MapReduceError
@@ -47,12 +48,14 @@ from repro.mapreduce import counters as counter_names
 from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.context import CountingSink, TaskContext
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import JobSpec, Partitioner, SortComparator
+from repro.mapreduce.job import JobSpec, Partitioner, SortComparator, identity_key
 from repro.mapreduce.serialization import read_framed_records, record_size, write_framed_record
 from repro.util.codecs import get_codec
 
 Record = Tuple[Any, Any]
 KeyGroup = Tuple[Any, List[Any]]
+
+_record_key = itemgetter(0)
 
 
 def partition_records(
@@ -74,7 +77,7 @@ def partition_records(
     return partitions
 
 
-def sort_partition(records: List[Record], comparator: SortComparator) -> List[Record]:
+def sort_partition(records: Iterable[Record], comparator: SortComparator) -> List[Record]:
     """Sort one partition's records by key using ``comparator`` (stable).
 
     When the comparator exposes an equivalent key function (the analogue of a
@@ -82,6 +85,8 @@ def sort_partition(records: List[Record], comparator: SortComparator) -> List[Re
     order much faster than a comparison-based sort.
     """
     fast_key = comparator.sort_key_function()
+    if fast_key is identity_key:
+        return sorted(records, key=_record_key)
     if fast_key is not None:
         try:
             return sorted(records, key=lambda record: fast_key(record[0]))
@@ -93,27 +98,42 @@ def sort_partition(records: List[Record], comparator: SortComparator) -> List[Re
     return sorted(records, key=lambda record: key_function(record[0]))
 
 
-def group_sorted_records(records: Sequence[Record], comparator: SortComparator) -> Iterator[KeyGroup]:
+def group_sorted_records(records: Iterable[Record], comparator: SortComparator) -> Iterator[KeyGroup]:
     """Group consecutive records whose keys compare equal.
 
     ``records`` must already be sorted by ``comparator``; grouping uses the
-    comparator's notion of equality (compare() == 0), mirroring Hadoop's
-    grouping comparator semantics.
+    comparator's notion of equality, mirroring Hadoop's grouping comparator
+    semantics.  Keys are equal exactly when their sort keys are, so a
+    comparator with a key function groups on plain ``==`` of the sort keys
+    (of the keys themselves when the key function is the identity); a
+    Python-level ``compare() == 0`` per record is kept for comparators
+    without one, and for keys the key function does not support.
     """
-    current_key: Any = None
-    current_values: List[Any] = []
-    have_group = False
-    for key, value in records:
-        if have_group and comparator.compare(key, current_key) == 0:
-            current_values.append(value)
-        else:
-            if have_group:
-                yield current_key, current_values
-            current_key = key
-            current_values = [value]
-            have_group = True
-    if have_group:
-        yield current_key, current_values
+    (stream,), sort_key = _resolve_sort_key([records], comparator)
+    iterator = iter(stream)
+    first = next(iterator, None)
+    if first is None:
+        return
+    current_key, value = first
+    values = [value]
+    if sort_key is _record_key:
+        for key, value in iterator:
+            if key == current_key:
+                values.append(value)
+            else:
+                yield current_key, values
+                current_key, values = key, [value]
+    else:
+        current_sort_key = sort_key(first)
+        for record in iterator:
+            record_sort_key = sort_key(record)
+            if record_sort_key == current_sort_key:
+                values.append(record[1])
+            else:
+                yield current_key, values
+                current_key, values = record[0], [record[1]]
+                current_sort_key = record_sort_key
+    yield current_key, values
 
 
 def shuffle(
@@ -159,7 +179,7 @@ class CombineBuffer:
         job: JobSpec,
         counters: Counters,
         cache: DistributedCache,
-        output: Callable[[Any, Any], None],
+        output: Callable[[Any, Any, int], None],
         spill_threshold_bytes: Optional[int] = None,
         spill_threshold_records: Optional[int] = None,
     ) -> None:
@@ -177,16 +197,18 @@ class CombineBuffer:
         self._output = output
         self.spill_threshold_bytes = spill_threshold_bytes
         self.spill_threshold_records = spill_threshold_records
+        self._budgeted = (
+            spill_threshold_bytes is not None or spill_threshold_records is not None
+        )
         self._records: List[Record] = []
         self._buffered_bytes = 0
-        #: Pre-combine totals (the job's ``MAP_OUTPUT_*`` quantities).
+        #: Pre-combine totals (the job's ``MAP_OUTPUT_*`` quantities), published
+        #: per combine round: every emission is sorted and combined exactly once.
         self.emitted_records = 0
         self.emitted_bytes = 0
         #: Post-combine totals (the job's ``SHUFFLE_*`` quantities).
         self.combined_records = 0
         self.combined_bytes = 0
-        #: Records sorted across all combine rounds (task metrics).
-        self.sorted_records = 0
         #: Budget-triggered combine rounds (0 means combine-per-task).
         self.num_spills = 0
 
@@ -209,7 +231,8 @@ class CombineBuffer:
             return
         comparator = self._job.sort_comparator
         sorted_records = sort_partition(records, comparator)
-        self.sorted_records += len(records)
+        self.emitted_records += len(records)
+        self.emitted_bytes += self._buffered_bytes
         self._records = []
         self._buffered_bytes = 0
         combiner = self._job.make_combiner()
@@ -217,9 +240,9 @@ class CombineBuffer:
         context = TaskContext(counters=self._counters, cache=self._cache, sink=sink)
         combiner.setup(context)
         for key, values in group_sorted_records(sorted_records, comparator):
-            self._counters.increment(counter_names.COMBINE_INPUT_RECORDS, len(values))
             combiner.reduce(key, values, context)
         combiner.cleanup(context)
+        self._counters.increment(counter_names.COMBINE_INPUT_RECORDS, len(records))
         self._counters.increment(counter_names.COMBINE_OUTPUT_RECORDS, sink.num_records)
         self.combined_records += sink.num_records
         self.combined_bytes += sink.serialized_bytes
@@ -227,12 +250,9 @@ class CombineBuffer:
     # ------------------------------------------------------------ interface
     def append(self, key: Any, value: Any) -> None:
         """Buffer one map emission, combining when the budget is exceeded."""
-        size = record_size(key, value)
-        self.emitted_records += 1
-        self.emitted_bytes += size
         self._records.append((key, value))
-        self._buffered_bytes += size
-        if self._over_budget():
+        self._buffered_bytes += record_size(key, value)
+        if self._budgeted and self._over_budget():
             self.num_spills += 1
             self._combine()
 
@@ -255,16 +275,18 @@ def iter_run_file(path: str, codec: str = "none") -> Iterator[Record]:
         yield from read_framed_records(handle)
 
 
-def _resolve_merge_key(
+def _resolve_sort_key(
     runs: List[Iterable[Record]], comparator: SortComparator
 ) -> Tuple[List[Iterable[Record]], Callable[[Record], Any]]:
-    """Pick the merge key function, preferring the comparator's fast path.
+    """Pick the record sort key for streams, preferring the fast path.
 
     Mirrors :func:`sort_partition`'s fallback: the fast key is validated on
     the first record of every run (re-attached to its stream afterwards);
     if any first key is unsupported, the comparison-based key is used.
     """
     fast_key = comparator.sort_key_function()
+    if fast_key is identity_key:
+        return runs, _record_key
     if fast_key is None:
         key_function = cmp_to_key(comparator.compare)
         return runs, lambda record: key_function(record[0])
@@ -300,7 +322,7 @@ def merge_sorted_runs(
     """
     if len(runs) == 1:
         return iter(runs[0])
-    rebuilt, key = _resolve_merge_key(list(runs), comparator)
+    rebuilt, key = _resolve_sort_key(list(runs), comparator)
     return heapq.merge(*rebuilt, key=key)
 
 
@@ -372,7 +394,7 @@ class PartitionInput:
             paths = merged
         runs: List[Iterable[Record]] = [iter_run_file(path, self.codec) for path in paths]
         if self.records:
-            runs.append(sort_partition(list(self.records), comparator))
+            runs.append(sort_partition(self.records, comparator))
         if not runs:
             return iter(())
         return merge_sorted_runs(runs, comparator)
@@ -504,8 +526,13 @@ class ExternalShuffle:
         """Whether any run has been written to disk."""
         return self.stats.num_spills > 0
 
-    def add(self, key: Any, value: Any) -> None:
-        """Route one map output record to its partition buffer."""
+    def add(self, key: Any, value: Any, size: Optional[int] = None) -> None:
+        """Route one map output record to its partition buffer.
+
+        ``size`` is the record's :func:`record_size` when the caller has
+        already measured it (a :class:`CountingSink` upstream); the budgeted
+        shuffle measures the record itself only when it arrives unmeasured.
+        """
         if self._finalized:
             raise MapReduceError("cannot add records to a finalized shuffle")
         index = self.partitioner.partition(key, self.num_partitions)
@@ -518,7 +545,7 @@ class ExternalShuffle:
             return
         # Bytes are metered under either budget so spilled-bytes counters
         # stay meaningful when the trigger is the record count.
-        self._buffered_bytes += record_size(key, value)
+        self._buffered_bytes += record_size(key, value) if size is None else size
         self._buffered_records += 1
         if (
             self.spill_threshold_bytes is not None

@@ -44,7 +44,11 @@ from repro.util.varint import decode_varint
 MAGIC = b"NGSTORE1"
 
 #: Format version recorded in the footer (bump on incompatible changes).
-FORMAT_VERSION = 1
+#: Version 2: block Bloom filters are built with the packed-int64 path of
+#: :func:`repro.util.hashing.stable_hash`.  A version-1 filter probed with
+#: today's hash would answer "absent" for present keys, so version-1 tables
+#: are refused outright; rebuilding the store is the migration.
+FORMAT_VERSION = 2
 
 #: Length of the fixed-size trailer: footer offset + magic.
 TRAILER_LENGTH = 8 + len(MAGIC)

@@ -33,6 +33,31 @@ class TestBloomFilter:
         false_positives = sum(1 for key in probes if bloom.might_contain(key))
         assert false_positives / len(probes) < 0.05
 
+    def test_ngram_key_false_positive_rate_at_default_budget(self):
+        """Flat int tuples — the store's keys — hash through one packed C call.
+
+        Block-sized filters (256 keys, the store's default) at the default
+        bits-per-key must keep the ~1 % design rate: at most 2.5 % of 20 000
+        absent n-grams may pass.
+        """
+        rng = random.Random(29)
+        universe = set()
+        while len(universe) < 2_560 + 20_000:
+            universe.add(tuple(rng.randint(0, 5_000) for _ in range(rng.randint(1, 5))))
+        universe = sorted(universe)
+        rng.shuffle(universe)
+        members, absent = universe[:2_560], universe[2_560:]
+        blooms = [BloomFilter.build(members[start : start + 256]) for start in range(0, 2_560, 256)]
+        assert all(
+            bloom.might_contain(key)
+            for index, bloom in enumerate(blooms)
+            for key in members[index * 256 : (index + 1) * 256]
+        )
+        passed = sum(
+            1 for index, key in enumerate(absent) if blooms[index % 10].might_contain(key)
+        )
+        assert passed / len(absent) <= 0.025
+
     def test_fewer_bits_more_false_positives(self):
         keys = sample_keys(1000, seed=5, tag="member")
         probes = sample_keys(3000, seed=55, tag="absent")

@@ -30,6 +30,7 @@ from repro.ngramstore import (
     sample_keys,
 )
 from repro.ngramstore.build import SortedRunReducer, total_order_sort_job
+from repro.ngramstore.format import FORMAT_VERSION, read_footer
 from repro.ngramstore.table import BlockCache, top_k_records
 from repro.util.memory import PeakMemoryTracker
 
@@ -880,6 +881,34 @@ class TestMmapReads:
                 assert store.get(key) is None
                 misses += 1
             assert store.io_stats()["bloom_rejections"] > 0
+
+
+# ------------------------------------------------------------ format version
+class TestFormatVersion:
+    def test_version_1_table_is_refused_by_name(self, tmp_path, records, monkeypatch):
+        """Version-1 Bloom filters were built with another hash: fail closed.
+
+        Probing such a filter with today's hash would answer "absent" for
+        present keys, so the reader refuses the table instead of serving it.
+        """
+        from repro.ngramstore import table as table_module
+
+        path = str(tmp_path / "v1.ngt")
+        with monkeypatch.context() as patch:
+            patch.setattr(table_module, "FORMAT_VERSION", 1)
+            with TableWriter(path, records_per_block=32) as writer:
+                writer.extend(records)
+        with pytest.raises(StoreError, match=r"unsupported table format version 1 \(expected 2\)"):
+            Table(path)
+
+    def test_current_version_is_2_and_opens(self, tmp_path, records):
+        path = str(tmp_path / "v2.ngt")
+        with TableWriter(path, records_per_block=32) as writer:
+            writer.extend(records)
+        with open(path, "rb") as handle:
+            assert read_footer(handle)["version"] == FORMAT_VERSION == 2
+        with Table(path) as table:
+            assert list(table) == records
 
 
 # ------------------------------------------------------- per-block checksums

@@ -9,6 +9,69 @@ from repro.mapreduce.serialization import record_size, serialized_size
 from repro.util.varint import encoded_length
 
 
+def reference_serialized_size(obj):
+    """The type ladder as it was before the closed-form fast path existed.
+
+    Kept verbatim as the oracle: every size the fast path returns must be the
+    size this recursion returns, or byte counters would drift.
+    """
+    if obj is None:
+        return 1
+    if isinstance(obj, bool):
+        return 1
+    if isinstance(obj, int):
+        return encoded_length(obj if obj >= 0 else (-obj << 1) | 1)
+    if isinstance(obj, float):
+        return 8
+    if isinstance(obj, str):
+        encoded = obj.encode("utf-8")
+        return encoded_length(len(encoded)) + len(encoded)
+    if isinstance(obj, bytes):
+        return encoded_length(len(obj)) + len(obj)
+    if isinstance(obj, (tuple, list)):
+        return encoded_length(len(obj)) + sum(reference_serialized_size(item) for item in obj)
+    if isinstance(obj, dict):
+        return encoded_length(len(obj)) + sum(
+            reference_serialized_size(key) + reference_serialized_size(value)
+            for key, value in obj.items()
+        )
+    if hasattr(obj, "serialized_size"):
+        return obj.serialized_size()
+    raise SerializationError(f"cannot size {type(obj).__name__}")
+
+
+postings = st.builds(
+    Posting,
+    doc_id=st.integers(0, 10**6),
+    seq_id=st.integers(0, 10**4),
+    positions=st.lists(st.integers(0, 500), unique=True, max_size=6).map(
+        lambda positions: tuple(sorted(positions))
+    ),
+)
+
+#: Everything jobs emit: ints of any sign and width (bools included), text,
+#: bytes, None, floats, sized objects — flat, nested, and as dict entries.
+sizable = st.recursive(
+    st.one_of(
+        st.integers(-(2**80), 2**300),
+        st.integers(0, 2**21),
+        st.booleans(),
+        st.none(),
+        st.floats(allow_nan=False),
+        st.text(max_size=8),
+        st.binary(max_size=8),
+        postings,
+        postings.map(lambda posting: PostingList([posting])),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.one_of(st.integers(-5, 2**40), st.text(max_size=4)), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
 class TestSerializedSize:
     def test_none_and_bool(self):
         assert serialized_size(None) == 1
@@ -61,6 +124,33 @@ class TestSerializedSize:
 
         with pytest.raises(SerializationError):
             serialized_size(Opaque())
+
+    @given(sizable)
+    def test_fast_path_equals_reference_ladder(self, obj):
+        assert serialized_size(obj) == reference_serialized_size(obj)
+
+    @given(st.lists(st.integers(-3, 2**70), max_size=8).map(tuple), sizable)
+    def test_record_size_equals_reference_ladder(self, key, value):
+        assert record_size(key, value) == (
+            reference_serialized_size(key) + reference_serialized_size(value)
+        )
+
+    def test_flat_tuple_edge_shapes_match_reference(self):
+        for obj in (
+            (),
+            (0,),
+            (True, 2),
+            (1, -1),
+            (127, 128, 2**64, 2**255 - 1),
+            (2**255,),  # first bit length beyond the 256-entry table
+            (2**2000, 1),
+            (1, 2.5),
+            (1, None),
+            (1, "a"),
+            (1, (2, 3)),
+            tuple(range(200)),
+        ):
+            assert serialized_size(obj) == reference_serialized_size(obj), obj
 
     def test_record_size_is_key_plus_value(self):
         assert record_size((1, 2), 3) == serialized_size((1, 2)) + serialized_size(3)

@@ -110,6 +110,41 @@ class TestGroupSortedRecords:
         assert len(groups) == 2
         assert groups[0][1] == ["a", "b"]
 
+    def test_grouping_on_a_sort_key_function(self):
+        """A comparator with a key function groups on equal sort keys.
+
+        The group key handed to the reducer is the first record's own key,
+        never the derived sort key.
+        """
+        records = [((3, 1), "a"), ((3, 1), "b"), ((3,), "c"), ((2, 9), "d")]
+        comparator = ReverseLexicographicOrder()
+        assert sort_partition(records, comparator) == records
+        groups = list(group_sorted_records(iter(records), comparator))
+        assert groups == [((3, 1), ["a", "b"]), ((3,), ["c"]), ((2, 9), ["d"])]
+
+    def test_grouping_falls_back_when_the_key_function_rejects_keys(self):
+        """String terms break the integer sort key; compare() still groups."""
+        comparator = ReverseLexicographicOrder()
+        records = sort_partition(
+            [(("b",), 1), (("a", "x"), 2), (("b",), 3), (("a",), 4)], comparator
+        )
+        groups = list(group_sorted_records(records, comparator))
+        assert groups == [(("b",), [1, 3]), (("a", "x"), [2]), (("a",), [4])]
+
+    def test_grouping_never_calls_compare_for_keyed_comparators(self):
+        class CountingOrder(ReverseLexicographicOrder):
+            calls = 0
+
+            def compare(self, left, right):
+                type(self).calls += 1
+                return super().compare(left, right)
+
+        records = [((index // 2,), index) for index in range(40, 0, -1)]
+        comparator = CountingOrder()
+        groups = list(group_sorted_records(sort_partition(records, comparator), comparator))
+        assert len(groups) == 21
+        assert CountingOrder.calls == 0
+
 
 class TestShuffle:
     @given(
