@@ -348,10 +348,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--protocol",
-        choices=("auto", "binary", "json"),
-        default="auto",
-        help="wire protocol for --server: negotiate binary with JSON "
-        "fallback (auto, default), require binary, or force newline-JSON",
+        choices=("binary", "json"),
+        default="binary",
+        help="wire framing for --server: binary frames (default) or newline-JSON",
     )
     query.add_argument(
         "--url",
@@ -411,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--http",
         action="store_true",
         help="serve the REST adapter (GET routes + POST /query) instead of the "
-        "newline-JSON socket protocol",
+        "socket protocol",
     )
     serve.add_argument(
         "--num-shards",
@@ -986,10 +985,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.config import ServerConfig
     from repro.ngramstore.http import NGramStoreHTTPServer
-    from repro.ngramstore.reader import NGramStore
-    from repro.ngramstore.router import ShardView
     from repro.ngramstore.server import NGramStoreServer
-    from repro.ngramstore.table import BlockCache
 
     try:
         config = ServerConfig(
@@ -1011,30 +1007,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 )
             if not args.metrics_file:
                 raise ReproError("--metrics-interval requires --metrics-file")
-        if config.num_shards > 1:
-            from repro.ngramstore.lsm import is_lsm_dir
-
-            if is_lsm_dir(args.store):
-                # Range sharding slices one store's partition list; an LSM
-                # directory has one list per generation, so there is no
-                # single slice to own.  Compact --all first, then shard.
-                raise ReproError(
-                    f"{args.store!r} is an LSM store directory; range-sharded "
-                    "serving needs a single-generation store — run "
-                    "`repro compact --all` first"
-                )
-            # Sharded: open the store behind a shared cache and serve only
-            # the owned slice of its partitions.
-            cache = BlockCache(config.cache_blocks)
-            target: object = ShardView(
-                NGramStore.open(args.store, cache=cache),
-                config.shard_index,
-                config.num_shards,
-            )
-        else:
-            target = args.store
         server_cls = NGramStoreHTTPServer if args.http else NGramStoreServer
-        server = server_cls(target, config=config)
+        server = server_cls(args.store, config=config)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -1050,9 +1024,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if config.num_shards > 1
         else ""
     )
+    service = server.service
     print(
         f"serving {args.store} on {host}:{port} "
-        f"({server.store.num_records} n-grams, {server.store.num_partitions} partitions, "
+        f"({service.store.num_records} n-grams, {service.store.num_partitions} partitions, "
         f"cache={args.cache_blocks} blocks, max-clients={args.max_clients}, "
         f"protocol={config.protocol}{shard_note})",
         flush=True,
@@ -1074,8 +1049,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         stop.set()
 
     def _snapshot():
-        metrics = server.metrics.snapshot()
-        metrics["cache"] = server.cache_summary()
+        metrics = service.metrics.snapshot()
+        metrics["cache"] = service.cache_summary()
         return metrics
 
     def _write_metrics(metrics):

@@ -345,14 +345,10 @@ class ServerConfig:
         Concurrently served connections; further connects wait in the
         listen backlog until a handler slot frees up.
     protocol:
-        Wire protocol to serve: ``"socket"`` (newline-delimited JSON over
-        TCP, the efficient in-repo path) or ``"http"`` (the REST adapter,
-        reachable by curl/browsers/load balancers).
-    binary:
-        Whether a socket server negotiates the binary framing of
-        :mod:`repro.ngramstore.wire` with capable clients (on by
-        default); with ``False`` the server is JSON-only, exactly the
-        pre-binary behaviour old deployments pin.
+        Wire protocol to serve: ``"socket"`` (binary frames or
+        newline-delimited JSON over TCP, the efficient in-repo path) or
+        ``"http"`` (the REST adapter, reachable by curl/browsers/load
+        balancers).
     num_shards / shard_index:
         Range sharding: serve only shard ``shard_index`` of a
         ``num_shards``-way split of the store's partitions.  The default
@@ -377,7 +373,6 @@ class ServerConfig:
     cache_blocks: int = 256
     max_clients: int = 32
     protocol: str = "socket"
-    binary: bool = True
     num_shards: int = 1
     shard_index: int = 0
     slow_query_ms: Optional[float] = None

@@ -12,12 +12,14 @@ SSTable pattern that lets statistics far larger than RAM be queried with a
 bounded memory footprint.
 
 On top of the store sits the serving tier, unified behind one query
-contract — :class:`StoreAPI` (:mod:`repro.ngramstore.api`), implemented
-by the local store, both remote clients, and both distributed topologies:
+contract — :class:`StoreAPI` (:mod:`repro.ngramstore.api`), a small kernel
+from which every operation is derived once, implemented by the local
+store, both remote clients, and both distributed topologies.  One
+:class:`~repro.ngramstore.service.StoreService` answers every request;
 :class:`NGramStoreServer`/:class:`StoreClient`
-(:mod:`repro.ngramstore.server`) speak a newline-delimited JSON socket
-protocol, :class:`NGramStoreHTTPServer`/:class:`HttpStoreClient`
-(:mod:`repro.ngramstore.http`) expose the same engine over REST,
+(:mod:`repro.ngramstore.server`) frame it over a TCP socket,
+:class:`NGramStoreHTTPServer`/:class:`HttpStoreClient`
+(:mod:`repro.ngramstore.http`) over REST,
 :class:`ReplicaPool`/:class:`ShardRouter`/:class:`ShardView`
 (:mod:`repro.ngramstore.router`) scale reads across replicated and
 range-sharded deployments, and :func:`merge_stores`

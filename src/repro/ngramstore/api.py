@@ -1,13 +1,10 @@
 """The unified query surface every store front-end speaks: ``StoreAPI``.
 
-Before this module existed the query surface was fractured: ``NGramStore``
-returned rich iterators, ``StoreClient`` returned tuples over an ad-hoc
-newline-JSON protocol, and vocabulary translation only happened client-side
-(forcing every remote consumer to download the dictionary).  ``StoreAPI``
-is the one contract they all implement now:
+One contract, implemented by every local composition and every client:
 
 * ``get`` / ``multi_get`` — point lookups by n-gram key (term-id tuples);
-* ``prefix`` — bounded range scan of every n-gram starting with a key;
+* ``prefix`` / ``multi_prefix`` — bounded range scan of every n-gram
+  starting with a key;
 * ``top_k`` — the k best records by frequency (or the first k by key);
 * ``complete`` — next-word prediction: the k best single-token
   continuations of a prefix, in deterministic ``(-count, token)`` order;
@@ -16,18 +13,27 @@ is the one contract they all implement now:
 * ``stats`` — store metadata (record/partition counts, vocabulary flag);
 * ``close`` + context-manager lifecycle;
 * surface-term variants (``get_terms`` / ``multi_get_terms`` /
-  ``prefix_terms`` / ``top_k_terms``) backed by the store's *persisted*
-  dictionary — translation happens wherever the dictionary lives (the
-  server, for remote implementations), so clients never download it.
+  ``prefix_terms`` / ``top_k_terms`` / ``complete_terms``) backed by the
+  store's *persisted* dictionary — translation happens wherever the
+  dictionary lives (the server, for remote implementations), so clients
+  never download it.
+
+A local implementation provides only the **kernel** — ``get``, an ordered
+``scan(start, stop)``, ``stats``, a ``vocabulary`` property, ``close``
+and, where block summaries allow skipping, ``top_k_into`` — and
+:class:`StoreAPI` derives every other operation from it exactly once, so
+semantics cannot diverge between compositions.  :class:`RemoteStore` is
+the one place where operations are instead fused into a single round trip.
 
 The canonical result shape is :class:`NGramRecord` — a ``(ngram, value)``
 named tuple, where ``ngram`` is a tuple of term identifiers (or of surface
 term strings for the ``*_terms`` variants).  Being a tuple subclass it
-compares equal to the plain ``(key, value)`` tuples the pre-redesign
-``StoreClient`` returned, so downstream callers migrate without breaking;
-the conformance suite asserts byte-identical results across every
-implementation: the local :class:`~repro.ngramstore.reader.NGramStore`,
-the socket :class:`~repro.ngramstore.server.StoreClient`, the
+compares equal to plain ``(key, value)`` tuples.  The conformance suite
+asserts identical results across every implementation: the local
+:class:`~repro.ngramstore.reader.NGramStore`, the LSM
+:class:`~repro.ngramstore.lsm.GenerationView`,
+:class:`~repro.ngramstore.router.ShardView` slices, the socket
+:class:`~repro.ngramstore.server.StoreClient`, the
 :class:`~repro.ngramstore.router.ReplicaPool`, the range-sharded
 :class:`~repro.ngramstore.router.ShardRouter`, and the
 :class:`~repro.ngramstore.http.HttpStoreClient`.
@@ -35,20 +41,23 @@ the socket :class:`~repro.ngramstore.server.StoreClient`, the
 :class:`QueryEngine` is the transport-independent server half: it maps one
 request object of the unified wire schema (shared verbatim by the TCP
 socket protocol and the HTTP adapter) to one response object, enforcing
-the server-side result caps.  Legacy request spellings (``ngram`` /
-``tokens`` instead of ``key``) are still served via
-:func:`normalize_request`, which flags them with a ``deprecated`` note in
-the response instead of breaking old clients.
+the server-side result caps.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import islice
 from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import StoreError, VocabularyError
-from repro.ngramstore.table import TOP_K_ORDERS, validate_top_k
-from repro.util.tracing import TRACE_FIELD, trace_id_of
+from repro.ngramstore.table import (
+    TOP_K_ORDERS,
+    TopKAccumulator,
+    _frequency_type_error,
+    prefix_records,
+    validate_top_k,
+)
 
 _MISSING = object()
 
@@ -107,38 +116,11 @@ OPERATIONS = (
     "ping",
 )
 
-#: Legacy request field spellings still accepted (deprecation shim): the
-#: pre-redesign socket protocol said ``{"op": "get", "ngram": [...]}`` and
-#: ``{"op": "prefix", "tokens": [...]}``; the unified schema uses ``key``
-#: everywhere.  Old spellings are served, but flagged in the response.
-LEGACY_REQUEST_FIELDS = {"ngram": "key", "tokens": "key"}
-
-
-def normalize_request(request: Dict[str, Any]) -> Tuple[Dict[str, Any], Optional[str]]:
-    """Map legacy request field spellings onto the unified schema.
-
-    Returns the (possibly rewritten) request and a deprecation note when a
-    legacy spelling was used — the server copies the note into the
-    response so old clients keep working but see the migration hint.
-
-    The optional ``trace`` field (``{"id": "<hex>"}``, see
-    :mod:`repro.util.tracing`) is part of the canonical schema: a
-    well-formed trace passes through untouched so the server can adopt
-    the client's request ID, while a malformed one is dropped here —
-    tracing is telemetry and must never fail a query.  Servers predating
-    the field simply never read it.
-    """
-    notes = []
-    for legacy, canonical in LEGACY_REQUEST_FIELDS.items():
-        if legacy in request:
-            request = dict(request)
-            value = request.pop(legacy)
-            request.setdefault(canonical, value)
-            notes.append(f"request field {legacy!r} is deprecated; use {canonical!r}")
-    if TRACE_FIELD in request and trace_id_of(request) is None:
-        request = dict(request)
-        del request[TRACE_FIELD]
-    return request, "; ".join(notes) if notes else None
+def validate_prefix_limit(limit: Any) -> Optional[int]:
+    """Validate a ``prefix`` result cap: ``None`` (uncapped) or an int >= 0."""
+    if limit is not None and (not isinstance(limit, int) or limit < 0):
+        raise StoreError(f"prefix limit must be a non-negative integer, got {limit!r}")
+    return limit
 
 
 def validate_complete_k(k: Any) -> int:
@@ -210,48 +192,69 @@ def ensure_comparable_vocabulary(primary: Any, extra: Any) -> None:
 class StoreAPI:
     """The unified query contract (see the module docstring).
 
-    Core operations (``get`` / ``prefix`` / ``top_k`` / ``stats`` /
-    ``translate_terms`` / ``render_ngrams`` / ``close``) are provided by
-    each implementation; the surface-term variants and ``multi_get`` have
-    default compositions here so semantics cannot diverge — remote
-    implementations override them only to fuse the same composition into a
-    single round trip.
+    A local composition implements the kernel — :meth:`get`, :meth:`scan`,
+    :meth:`stats`, :attr:`vocabulary`, :meth:`close`, and optionally
+    :meth:`top_k_into` — and inherits everything else.  Remote
+    implementations have no ``scan``; they override the derived operations
+    to fuse each into one round trip (see :class:`RemoteStore`).
     """
 
-    # ------------------------------------------------------ core contract
+    # -------------------------------------------------------------- kernel
     def get(self, ngram: Iterable[Any], default: Any = None) -> Any:
         """The value stored for ``ngram``, or ``default``."""
         raise NotImplementedError
 
-    def prefix(self, tokens: Iterable[Any], limit: Optional[int] = None) -> Iterable[Record]:
-        """Records whose key starts with ``tokens``, in key order.
+    def scan(self, start: Any = None, stop: Any = None) -> Iterator[Record]:
+        """Stream ``(key, value)`` with ``start <= key < stop`` in key order."""
+        raise NotImplementedError
 
-        ``limit`` caps the result count; remote implementations raise
-        :class:`StoreError` when an uncapped request hits the server cap
-        (a silently partial answer would be a wrong answer).
+    def top_k_into(self, accumulator: TopKAccumulator) -> None:
+        """Offer every candidate record to a caller-owned top-k heap.
+
+        The default offers the whole :meth:`scan`; implementations with
+        per-block summaries override it to skip blocks that cannot beat the
+        heap floor.
         """
-        raise NotImplementedError
-
-    def top_k(self, k: int, order: str = "frequency") -> List[Record]:
-        """The ``k`` best records store-wide under ``order``."""
-        raise NotImplementedError
+        for key, value in self.scan():
+            accumulator.offer(key, value)
 
     def stats(self) -> Dict[str, Any]:
         """Store metadata: record/partition counts, codec, vocabulary flag."""
         raise NotImplementedError
 
-    def translate_terms(self, items: Sequence[Sequence[str]]) -> List[Optional[Tuple]]:
-        """Surface-term tuples -> key tuples (``None`` for unknown terms)."""
-        raise NotImplementedError
-
-    def render_ngrams(self, ngrams: Sequence[Tuple]) -> List[Tuple[str, ...]]:
-        """Key tuples -> surface-term tuples via the persisted dictionary."""
-        raise NotImplementedError
+    @property
+    def vocabulary(self) -> Optional[Any]:
+        """The persisted dictionary behind the ``*_terms`` operations, if any."""
+        return None
 
     def close(self) -> None:
         raise NotImplementedError
 
-    # --------------------------------------------------- composed surface
+    # ------------------------------------------------------ derived queries
+    def prefix(self, tokens: Iterable[Any], limit: Optional[int] = None) -> Iterable[Record]:
+        """Records whose key starts with ``tokens``, in key order (lazy).
+
+        ``limit`` caps the result count; remote implementations raise
+        :class:`StoreError` when an uncapped request hits the server cap
+        (a silently partial answer would be a wrong answer).
+        """
+        records = prefix_records(self.scan, tuple(tokens))
+        if validate_prefix_limit(limit) is not None:
+            records = islice(records, limit)
+        return (NGramRecord(key, value) for key, value in records)
+
+    def top_k(self, k: int, order: str = "frequency") -> List[Record]:
+        """The ``k`` best records store-wide under ``order``, in O(k) memory."""
+        validate_top_k(k, order)
+        if order == "key":
+            return [NGramRecord(key, value) for key, value in islice(self.scan(), k)]
+        accumulator = TopKAccumulator(k)
+        try:
+            self.top_k_into(accumulator)
+            return [NGramRecord(key, value) for key, value in accumulator.results()]
+        except TypeError as exc:
+            raise _frequency_type_error(exc) from exc
+
     def multi_get(self, ngrams: Sequence[Iterable[Any]], default: Any = None) -> List[Any]:
         """Values for ``ngrams`` in order (``default`` where absent)."""
         return [self.get(ngram, default) for ngram in ngrams]
@@ -259,49 +262,8 @@ class StoreAPI:
     def multi_prefix(
         self, prefixes: Sequence[Iterable[Any]], limit: Optional[int] = None
     ) -> List[List[Record]]:
-        """One prefix scan per entry of ``prefixes``, order-aligned.
-
-        Each result list is exactly ``list(self.prefix(p, limit=limit))``;
-        remote implementations fuse the batch into a single round trip.
-        """
+        """One prefix scan per entry of ``prefixes``, order-aligned."""
         return [list(self.prefix(prefix, limit=limit)) for prefix in prefixes]
-
-    def get_terms(self, terms: Sequence[str], default: Any = None) -> Any:
-        """Point lookup keyed by surface terms; unknown terms are absent."""
-        (key,) = self.translate_terms([tuple(terms)])
-        if key is None:
-            return default
-        return self.get(key, default)
-
-    def multi_get_terms(
-        self, items: Sequence[Sequence[str]], default: Any = None
-    ) -> List[Any]:
-        """Batched surface-term lookups, order-aligned with ``items``."""
-        keys = self.translate_terms([tuple(item) for item in items])
-        known = [key for key in keys if key is not None]
-        values = iter(self.multi_get(known, default))
-        return [default if key is None else next(values) for key in keys]
-
-    def prefix_terms(
-        self, terms: Sequence[str], limit: Optional[int] = None
-    ) -> List[Record]:
-        """Prefix scan keyed and rendered in surface terms."""
-        (key,) = self.translate_terms([tuple(terms)])
-        if key is None:
-            return []
-        records = list(self.prefix(key, limit=limit))
-        rendered = self.render_ngrams([record[0] for record in records])
-        return [
-            NGramRecord(surface, record[1]) for surface, record in zip(rendered, records)
-        ]
-
-    def top_k_terms(self, k: int, order: str = "frequency") -> List[Record]:
-        """Top-k with keys rendered as surface terms."""
-        records = self.top_k(k, order)
-        rendered = self.render_ngrams([record[0] for record in records])
-        return [
-            NGramRecord(surface, record[1]) for surface, record in zip(rendered, records)
-        ]
 
     def complete(self, ngram: Iterable[Any], k: int = DEFAULT_COMPLETE_K) -> List[Completion]:
         """The ``k`` best single-token continuations of ``ngram``.
@@ -314,6 +276,68 @@ class StoreAPI:
         key = tuple(ngram)
         completions, _ = complete_scan(self.prefix(key), len(key), validate_complete_k(k))
         return completions
+
+    def ping(self) -> bool:
+        """Liveness probe; local implementations are trivially alive."""
+        return True
+
+    # ------------------------------------------------------ vocabulary ops
+    def _require_vocabulary(self) -> Any:
+        vocabulary = self.vocabulary
+        if vocabulary is None:
+            raise StoreError(
+                f"{type(self).__name__} has no persisted vocabulary; term-keyed "
+                "operations need a store built from an encoded collection"
+            )
+        return vocabulary
+
+    def translate_terms(self, items: Sequence[Sequence[str]]) -> List[Optional[Tuple]]:
+        """Surface-term tuples -> key tuples; ``None`` where any term is unknown.
+
+        Unknown terms are a normal query outcome (the corpus simply never
+        produced them), not an error — the caller treats the n-gram as absent.
+        """
+        vocabulary = self._require_vocabulary()
+        keys: List[Optional[Tuple]] = []
+        for terms in items:
+            try:
+                keys.append(tuple(vocabulary.term_id(term) for term in terms))
+            except VocabularyError:
+                keys.append(None)
+        return keys
+
+    def render_ngrams(self, ngrams: Sequence[Tuple]) -> List[Tuple[str, ...]]:
+        """Key tuples -> surface-term tuples via the persisted dictionary."""
+        vocabulary = self._require_vocabulary()
+        return [tuple(vocabulary.term(term_id) for term_id in ngram) for ngram in ngrams]
+
+    def _rendered(self, records: List[Record]) -> List[Record]:
+        surfaces = self.render_ngrams([record[0] for record in records])
+        return [NGramRecord(surface, record[1]) for surface, record in zip(surfaces, records)]
+
+    def get_terms(self, terms: Sequence[str], default: Any = None) -> Any:
+        """Point lookup keyed by surface terms; unknown terms are absent."""
+        (key,) = self.translate_terms([tuple(terms)])
+        return default if key is None else self.get(key, default)
+
+    def multi_get_terms(
+        self, items: Sequence[Sequence[str]], default: Any = None
+    ) -> List[Any]:
+        """Batched surface-term lookups, order-aligned with ``items``."""
+        keys = self.translate_terms([tuple(item) for item in items])
+        values = iter(self.multi_get([key for key in keys if key is not None], default))
+        return [default if key is None else next(values) for key in keys]
+
+    def prefix_terms(
+        self, terms: Sequence[str], limit: Optional[int] = None
+    ) -> List[Record]:
+        """Prefix scan keyed and rendered in surface terms."""
+        (key,) = self.translate_terms([tuple(terms)])
+        return [] if key is None else self._rendered(list(self.prefix(key, limit=limit)))
+
+    def top_k_terms(self, k: int, order: str = "frequency") -> List[Record]:
+        """Top-k with keys rendered as surface terms."""
+        return self._rendered(self.top_k(k, order))
 
     def complete_terms(
         self, terms: Sequence[str], k: int = DEFAULT_COMPLETE_K
@@ -334,9 +358,24 @@ class StoreAPI:
             for surface, completion in zip(rendered, completions)
         ]
 
-    def ping(self) -> bool:
-        """Liveness probe; local implementations are trivially alive."""
-        return True
+    # ------------------------------------------------- container protocol
+    def frequency(self, ngram: Iterable[Any]) -> Any:
+        """Statistics-style lookup: the stored value, or 0 when absent."""
+        return self.get(ngram, 0)
+
+    def items(self) -> Iterator[Record]:
+        """Stream every record in key order."""
+        return self.scan()
+
+    def __iter__(self) -> Iterator[Any]:
+        """Stream every key in key order."""
+        return (key for key, _ in self.scan())
+
+    def __contains__(self, ngram: object) -> bool:
+        return isinstance(ngram, tuple) and self.get(ngram, _MISSING) is not _MISSING
+
+    def __len__(self) -> int:
+        return self.stats()["num_records"]
 
     # ----------------------------------------------------------- lifecycle
     def __enter__(self) -> "StoreAPI":
@@ -374,14 +413,11 @@ class RemoteStore(StoreAPI):
             for found, value in zip(response["found"], response["values"])
         ]
 
-    def _prefix_records(
-        self, request: Dict[str, Any], limit: Optional[int], key_shape
-    ) -> List[Record]:
-        if limit is not None:
-            request["limit"] = limit
-        response = self._call(request)
-        records = response["records"]
-        if response.get("truncated") and (limit is None or len(records) < limit):
+    @staticmethod
+    def _prefix_records(result: Dict[str, Any], limit: Optional[int]) -> List[Record]:
+        """One prefix result's records, refusing a silently partial answer."""
+        records = result["records"]
+        if result.get("truncated") and (limit is None or len(records) < limit):
             # Truncated short of what the caller asked for (everything, or
             # a limit above the server cap): a silently partial result
             # would be a wrong answer.
@@ -389,33 +425,24 @@ class RemoteStore(StoreAPI):
                 f"prefix result truncated at the server cap ({MAX_PREFIX_RECORDS} "
                 "records); pass a limit at or below the cap, or export offline"
             )
-        return [NGramRecord(key_shape(key), value) for key, value in records]
+        return [NGramRecord(tuple(key), value) for key, value in records]
+
+    def _call_limited(self, request: Dict[str, Any], limit: Optional[int]) -> Dict[str, Any]:
+        if limit is not None:
+            request["limit"] = limit
+        return self._call(request)
 
     def prefix(self, tokens: Iterable[Any], limit: Optional[int] = None) -> List[Record]:
-        return self._prefix_records(
-            {"op": "prefix", "key": list(tokens)}, limit, tuple
-        )
+        response = self._call_limited({"op": "prefix", "key": list(tokens)}, limit)
+        return self._prefix_records(response, limit)
 
     def multi_prefix(
         self, prefixes: Sequence[Iterable[Any]], limit: Optional[int] = None
     ) -> List[List[Record]]:
-        request: Dict[str, Any] = {
-            "op": "multi_prefix",
-            "keys": [list(prefix) for prefix in prefixes],
-        }
-        if limit is not None:
-            request["limit"] = limit
-        response = self._call(request)
-        results: List[List[Record]] = []
-        for result in response["results"]:
-            records = result["records"]
-            if result.get("truncated") and (limit is None or len(records) < limit):
-                raise StoreError(
-                    f"prefix result truncated at the server cap ({MAX_PREFIX_RECORDS} "
-                    "records); pass a limit at or below the cap, or export offline"
-                )
-            results.append([NGramRecord(tuple(key), value) for key, value in records])
-        return results
+        response = self._call_limited(
+            {"op": "multi_prefix", "keys": [list(prefix) for prefix in prefixes]}, limit
+        )
+        return [self._prefix_records(result, limit) for result in response["results"]]
 
     def top_k(self, k: int, order: str = "frequency") -> List[Record]:
         response = self._call({"op": "top_k", "k": k, "order": order})
@@ -424,11 +451,7 @@ class RemoteStore(StoreAPI):
     @staticmethod
     def _strip_envelope(response: Dict[str, Any]) -> Dict[str, Any]:
         """Drop protocol fields so remote stats match local ones byte for byte."""
-        return {
-            key: value
-            for key, value in response.items()
-            if key not in ("ok", "deprecated")
-        }
+        return {key: value for key, value in response.items() if key != "ok"}
 
     def stats(self) -> Dict[str, Any]:
         return self._strip_envelope(self._call({"op": "stats"}))
@@ -470,11 +493,8 @@ class RemoteStore(StoreAPI):
     def prefix_terms(
         self, terms: Sequence[str], limit: Optional[int] = None
     ) -> List[Record]:
-        return self._prefix_records(
-            {"op": "prefix", "terms": list(terms)},
-            limit,
-            lambda key: tuple(key),
-        )
+        response = self._call_limited({"op": "prefix", "terms": list(terms)}, limit)
+        return self._prefix_records(response, limit)
 
     def top_k_terms(self, k: int, order: str = "frequency") -> List[Record]:
         response = self._call({"op": "top_k", "k": k, "order": order, "surface": True})
@@ -537,13 +557,12 @@ _NULL_TRACE = _NullTrace()
 class QueryEngine:
     """Maps unified-schema request dicts to response dicts over one store.
 
-    The store is anything with the local ``StoreAPI`` surface (an
-    :class:`~repro.ngramstore.reader.NGramStore` or a
-    :class:`~repro.ngramstore.router.ShardView`); both the TCP socket
-    server and the HTTP adapter own one engine each, so the two transports
-    serve byte-identical payloads by construction.  ``server_stats`` is
-    *not* handled here — it belongs to the transport (metrics, cache,
-    connection counts), not to the store.
+    The store is any ``StoreAPI`` (a local composition, or a router
+    fronted as a gateway); the one engine lives in a
+    :class:`~repro.ngramstore.service.StoreService`, which both transports
+    call.  ``server_stats`` and ``metrics`` are *not* handled here — they
+    are the service's state (metrics, cache, connection counts), not the
+    store's.
 
     ``extra_store`` is an optional second store (``serve --extra-store``)
     the ``compare`` operation looks keys up in alongside the primary;
@@ -575,15 +594,6 @@ class QueryEngine:
                 [list(terms), record[1]] for terms, record in zip(rendered, records)
             ]
         return [[list(record[0]), record[1]] for record in records]
-
-    @staticmethod
-    def _validated_limit(request: Dict[str, Any]) -> Optional[int]:
-        limit = request.get("limit")
-        if limit is not None and (not isinstance(limit, int) or limit < 0):
-            raise StoreError(
-                f"prefix limit must be a non-negative integer, got {limit!r}"
-            )
-        return limit
 
     def _prefix_response(
         self, key: Optional[Tuple], limit: Optional[int], surface: bool
@@ -654,7 +664,7 @@ class QueryEngine:
         if operation == "prefix":
             with trace.stage("route"):
                 key = self._request_key(request, surface)
-                limit = self._validated_limit(request)
+                limit = validate_prefix_limit(request.get("limit"))
             with trace.stage("read"):
                 return self._prefix_response(key, limit, surface)
         if operation == "multi_prefix":
@@ -668,7 +678,7 @@ class QueryEngine:
                         f"multi_prefix batch must be <= {MAX_BATCH_KEYS} keys, "
                         f"got {len(keys)}"
                     )
-                limit = self._validated_limit(request)
+                limit = validate_prefix_limit(request.get("limit"))
             with trace.stage("read"):
                 return {
                     "results": [

@@ -60,26 +60,24 @@ class BlockHandle(NamedTuple):
     """Index entry locating one data block inside the table file.
 
     ``max_value`` is the block's largest *numeric* value (``None`` when the
-    block holds non-numeric values, or in tables written before the summary
-    existed — old indexes pickle as 5-tuples and load with the default).
-    Frequency-ordered top-k uses it to skip blocks whose best possible
-    record cannot beat the current heap floor.
+    block holds non-numeric values).  Frequency-ordered top-k uses it to
+    skip blocks whose best possible record cannot beat the current heap
+    floor.
 
     ``bloom`` is the block's Bloom filter over its keys, as the plain
     ``(num_bits, num_hashes, bits)`` spec of
     :class:`repro.util.bloom.BloomFilter` — ``None`` when filters were
-    disabled at write time or the table predates them (old indexes pickle
-    as 5- or 6-tuples and load with the default).  Point lookups consult it
-    before touching the data block, so a guaranteed miss costs no block
-    read at all.
+    disabled at write time.  Point lookups consult it before touching the
+    data block, so a guaranteed miss costs no block read at all.
 
     ``checksum`` is the CRC32 of the block's stored payload (the bytes on
-    disk, after any codec compression) — ``None`` in tables written before
-    checksums existed (old indexes pickle as 5-, 6-, or 7-tuples and load
-    with the default).  Readers verify it before decoding a block, so a
-    flipped bit surfaces as a :class:`~repro.exceptions.StoreError` naming
-    the partition and block instead of silently wrong counts or an opaque
-    unpickling crash.
+    disk, after any codec compression).  Readers verify it before decoding
+    a block, so a flipped bit surfaces as a
+    :class:`~repro.exceptions.StoreError` naming the partition and block
+    instead of silently wrong counts or an opaque unpickling crash.
+
+    Every field is required: an index entry with fewer fields comes from a
+    format :data:`FORMAT_VERSION` already refuses, and is refused too.
     """
 
     first_key: Any
@@ -87,9 +85,9 @@ class BlockHandle(NamedTuple):
     offset: int
     length: int
     num_records: int
-    max_value: Any = None
-    bloom: Any = None
-    checksum: Any = None
+    max_value: Any
+    bloom: Any
+    checksum: int
 
 
 def block_checksum(payload: "bytes | memoryview") -> int:
@@ -190,4 +188,7 @@ def read_index(handle: BinaryIO, footer: Dict[str, Any]) -> List[BlockHandle]:
         entries = pickle.loads(payload)
     except Exception as exc:
         raise StoreError(f"cannot decode table block index: {exc}") from exc
-    return [BlockHandle(*entry) for entry in entries]
+    try:
+        return [BlockHandle(*entry) for entry in entries]
+    except TypeError as exc:
+        raise StoreError(f"malformed table block index: {exc}") from exc

@@ -3,10 +3,11 @@
 The socket protocol (:mod:`repro.ngramstore.server`) is the efficient
 path for in-repo clients; this adapter makes the same store reachable by
 anything that speaks HTTP — ``curl``, a browser, a load balancer's
-health check — without adding a dependency.  One
-:class:`~http.server.ThreadingHTTPServer` serves two surfaces over the
-same :class:`~repro.ngramstore.api.QueryEngine` the socket server uses
-(so both transports answer byte-identically by construction):
+health check — without adding a dependency.  This module is only routing
+and HTTP framing: one :class:`~http.server.ThreadingHTTPServer` maps two
+surfaces onto the ``execute`` of one
+:class:`~repro.ngramstore.service.StoreService`, the same path the socket
+server runs (so both transports answer identically by construction):
 
 * ``POST /query`` — the full unified request schema as a JSON body,
   answered exactly like one socket protocol line::
@@ -39,7 +40,6 @@ expected (including inside replica pools and shard routers).
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from http import client as http_client
@@ -49,27 +49,11 @@ from urllib import parse as urllib_parse
 
 from repro.config import ServerConfig
 from repro.exceptions import StoreConnectionError, StoreError
-from repro.ngramstore.api import (
-    OPERATIONS,
-    QueryEngine,
-    RemoteStore,
-    ensure_comparable_vocabulary,
-    normalize_request,
-)
-from repro.ngramstore.reader import NGramStore
-from repro.ngramstore.server import (
-    MAX_REQUEST_BYTES,
-    ServerMetrics,
-    build_cache_summary,
-    collect_io_counters,
-    finish_request_observation,
-    register_store_observables,
-    render_server_metrics,
-)
-from repro.ngramstore.table import BlockCache
+from repro.ngramstore.api import RemoteStore
+from repro.ngramstore.service import MAX_REQUEST_BYTES, StoreService
 from repro.util.metrics import default_registry
 from repro.util.timer import Stopwatch
-from repro.util.tracing import SlowQueryLog, TraceContext, attach_trace
+from repro.util.tracing import attach_trace
 
 #: GET routes that map straight to unified-schema operations.
 _GET_OPERATIONS = (
@@ -125,10 +109,15 @@ def _request_from_query(operation: str, params: Dict[str, Any]) -> Dict[str, Any
 
 
 class _StoreRequestHandler(BaseHTTPRequestHandler):
-    """Maps HTTP requests onto the owning server's :class:`QueryEngine`."""
+    """Maps HTTP requests onto the owning server's :class:`StoreService`."""
 
     protocol_version = "HTTP/1.1"
     server: "_HTTPServer"
+
+    def setup(self) -> None:
+        super().setup()
+        # One handler instance serves one (possibly keep-alive) connection.
+        self.server.service.metrics.record_connection()
 
     # ----------------------------------------------------------- plumbing
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -156,61 +145,21 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _answer(
-        self, operation: str, request: Dict[str, Any], parse_seconds: float = 0.0
-    ) -> None:
-        """Run one unified-schema request and write the HTTP response."""
-        owner = self.server.owner
-        watch = Stopwatch()
-        trace = TraceContext.from_request(request)
-        if parse_seconds:
-            trace.add_stage("parse", parse_seconds)
-        status = 200
-        io_before: Optional[Dict[str, float]] = None
-        try:
-            if operation == "server_stats":
-                response: Dict[str, Any] = owner.server_stats()
-            elif operation == "metrics":
-                response = {"text": render_server_metrics(owner.metrics, owner.store)}
-            else:
-                request, deprecated = normalize_request(request)
-                io_before = collect_io_counters(owner.store, operation)
-                response = owner.engine.handle(request, trace=trace)
-                if deprecated:
-                    response["deprecated"] = deprecated
-            response["ok"] = True
-        except (StoreError, KeyError, TypeError, ValueError) as error:
-            status = 400
-            response = {"ok": False, "error": f"{error}"}
-        bucket = operation if operation in OPERATIONS else "invalid"
-        io_after = (
-            collect_io_counters(owner.store, operation) if io_before is not None else None
-        )
-        finish_request_observation(
-            owner.metrics,
-            owner.slow_log,
-            trace,
-            bucket,
-            request,
-            watch.elapsed() + parse_seconds,
-            status == 200,
-            io_before,
-            io_after,
-        )
-        self._send_json(status, response)
+    def _send_response(self, response: Dict[str, Any]) -> None:
+        """Write one ``execute`` answer: 200 when ``ok``, else 400."""
+        self._send_json(200 if response["ok"] else 400, response)
 
     # ------------------------------------------------------------- verbs
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
-        owner = self.server.owner
-        owner.metrics.record_connection()
+        service = self.server.service
         parsed = urllib_parse.urlsplit(self.path)
         operation = parsed.path.strip("/")
         if operation == "metrics":
             # The Prometheus scrape surface: raw exposition text, not the
             # JSON envelope (scrapers do not speak the unified schema).
             watch = Stopwatch()
-            text = render_server_metrics(owner.metrics, owner.store)
-            owner.metrics.record("metrics", watch.elapsed(), True)
+            text = service.metrics_text()
+            service.metrics.record("metrics", watch.elapsed(), True)
             self._send_text(200, text, METRICS_CONTENT_TYPE)
             return
         if operation not in _GET_OPERATIONS:
@@ -227,14 +176,12 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         try:
             request = _request_from_query(operation, urllib_parse.parse_qs(parsed.query))
         except StoreError as error:
-            owner.metrics.record(operation, 0.0, False)
+            service.metrics.record(operation, 0.0, False)
             self._send_json(400, {"ok": False, "error": f"{error}"})
             return
-        self._answer(operation, request)
+        self._send_response(service.execute(request))
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib handler naming)
-        owner = self.server.owner
-        owner.metrics.record_connection()
         parsed = urllib_parse.urlsplit(self.path)
         if parsed.path.rstrip("/") != "/query":
             self._send_json(
@@ -248,27 +195,16 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
         if length < 0 or length > MAX_REQUEST_BYTES:
             self._send_json(400, {"ok": False, "error": "request exceeds 1 MiB"})
             return
-        body = self.rfile.read(length)
-        parse_watch = Stopwatch()
-        try:
-            request = json.loads(body)
-            if not isinstance(request, dict):
-                raise StoreError("request must be a JSON object")
-        except (ValueError, StoreError) as error:
-            owner.metrics.record("invalid", 0.0, False)
-            self._send_json(400, {"ok": False, "error": f"invalid request: {error}"})
-            return
-        parse_seconds = parse_watch.elapsed()
-        self._answer(str(request.get("op")), request, parse_seconds=parse_seconds)
+        self._send_response(self.server.service.execute_json(self.rfile.read(length)))
 
 
 class _HTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that knows its owning :class:`NGramStoreHTTPServer`."""
+    """ThreadingHTTPServer whose handlers answer from one :class:`StoreService`."""
 
     daemon_threads = True
 
-    def __init__(self, address: Tuple[str, int], owner: "NGramStoreHTTPServer") -> None:
-        self.owner = owner
+    def __init__(self, address: Tuple[str, int], service: StoreService) -> None:
+        self.service = service
         super().__init__(address, _StoreRequestHandler)
 
 
@@ -285,60 +221,19 @@ class NGramStoreHTTPServer:
     """
 
     def __init__(self, store: Any, config: Optional[ServerConfig] = None) -> None:
-        self.config = config if config is not None else ServerConfig()
-        if isinstance(store, (str, os.PathLike)):
-            from repro.ngramstore.lsm import open_store_auto
-
-            self.cache: Optional[BlockCache] = BlockCache(self.config.cache_blocks)
-            self.store = open_store_auto(str(store), cache=self.cache)
-        else:
-            self.store = store
-            self.cache = getattr(store, "cache", None)
-        self.extra_store: Any = None
-        if self.config.extra_store is not None:
-            from repro.ngramstore.lsm import open_store_auto
-
-            # Mirrors the socket server: the comparison store rides the
-            # shared block cache and must agree on the vocabulary.
-            try:
-                self.extra_store = open_store_auto(
-                    self.config.extra_store, cache=self.cache
-                )
-                ensure_comparable_vocabulary(self.store, self.extra_store)
-            except Exception:
-                if self.extra_store is not None:
-                    self.extra_store.close()
-                self.store.close()
-                raise
-        self.engine = QueryEngine(self.store, extra_store=self.extra_store)
-        self.metrics = ServerMetrics()
-        self.slow_log = (
-            SlowQueryLog(self.config.slow_query_ms, self.config.slow_query_log)
-            if self.config.slow_query_ms is not None
-            else None
-        )
-        register_store_observables(self.metrics.registry, self.store, self.cache)
-        self.host = self.config.host
-        self.port = self.config.port
+        self.service = StoreService(store, config)
+        self.host = self.service.config.host
+        self.port = self.service.config.port
         self._httpd: Optional[_HTTPServer] = None
         self._thread: Optional[threading.Thread] = None
         self._closed = False
-
-    # ------------------------------------------------------------- serving
-    def server_stats(self) -> Dict[str, Any]:
-        snapshot = self.metrics.snapshot()
-        snapshot["cache"] = self.cache_summary()
-        return snapshot
-
-    def cache_summary(self) -> Dict[str, Any]:
-        return build_cache_summary(self.store, self.cache)
 
     # ----------------------------------------------------------- lifecycle
     def start(self) -> Tuple[str, int]:
         """Bind, listen and serve in background threads; returns (host, port)."""
         if self._httpd is not None:
             raise StoreError("server already started")
-        self._httpd = _HTTPServer((self.host, self.port), self)
+        self._httpd = _HTTPServer((self.host, self.port), self.service)
         self.port = self._httpd.server_address[1]
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
@@ -357,11 +252,7 @@ class NGramStoreHTTPServer:
             self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
-        if self.slow_log is not None:
-            self.slow_log.close()
-        if self.extra_store is not None:
-            self.extra_store.close()
-        self.store.close()
+        self.service.close()
 
     def __enter__(self) -> "NGramStoreHTTPServer":
         self.start()
@@ -501,6 +392,3 @@ class HttpStoreClient(RemoteStore):
             idle, self._idle = self._idle, []
         for connection in idle:
             connection.close()
-
-    def __enter__(self) -> "HttpStoreClient":
-        return self

@@ -39,24 +39,16 @@ import shutil
 import time
 from dataclasses import asdict
 from functools import reduce
-from itertools import islice
 from operator import add
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.config import ExecutionConfig, StoreConfig
 from repro.exceptions import StoreError
-from repro.ngramstore.api import NGramRecord, StoreAPI
+from repro.ngramstore.api import StoreAPI
 from repro.ngramstore.build import DICTIONARY_FILENAME, build_store
 from repro.ngramstore.merge import _merge_streams, merge_stores
 from repro.ngramstore.reader import NGramStore
-from repro.ngramstore.table import (
-    DEFAULT_CACHE_BLOCKS,
-    BlockCache,
-    TopKAccumulator,
-    _frequency_type_error,
-    prefix_records,
-    validate_top_k,
-)
+from repro.ngramstore.table import DEFAULT_CACHE_BLOCKS, BlockCache, TopKAccumulator
 
 Record = Tuple[Any, Any]
 
@@ -490,9 +482,6 @@ class GenerationView(StoreAPI):
                 return store.vocabulary
         return None
 
-    def __len__(self) -> int:
-        return self.num_records
-
     def cache_stats(self) -> Any:
         return self.cache.stats_snapshot()
 
@@ -530,79 +519,22 @@ class GenerationView(StoreAPI):
                 f"cannot sum {len(found)} generation values for key {key!r}: {exc}"
             ) from exc
 
-    def frequency(self, ngram: Any) -> int:
-        return self.get(ngram, 0)
-
-    def __contains__(self, ngram: object) -> bool:
-        if not isinstance(ngram, tuple):
-            return False
-        return self.get(ngram, _MISSING) is not _MISSING
-
-    def multi_get(self, ngrams: Sequence[Any], default: Any = None) -> List[Any]:
-        """Batched lookups: one column of values per generation, then summed."""
-        self._check_open()
-        keys = [tuple(ngram) for ngram in ngrams]
-        columns = [store.multi_get(keys, _MISSING) for store in self.stores]
-        results: List[Any] = []
-        for index, key in enumerate(keys):
-            found = [
-                column[index] for column in columns if column[index] is not _MISSING
-            ]
-            if not found:
-                results.append(default)
-            elif len(found) == 1:
-                results.append(found[0])
-            else:
-                try:
-                    results.append(reduce(add, found))
-                except TypeError as exc:
-                    raise StoreError(
-                        f"cannot sum {len(found)} generation values for key "
-                        f"{key!r}: {exc}"
-                    ) from exc
-        return results
-
     def scan(self, start: Any = None, stop: Any = None) -> Iterator[Record]:
         """Merged scan: generation streams k-way merged, duplicate keys summed."""
         self._check_open()
         return _merge_streams(store.scan(start=start, stop=stop) for store in self.stores)
 
-    def items(self) -> Iterator[Record]:
-        return self.scan()
-
-    def prefix(self, tokens: Any, limit: Optional[int] = None) -> Iterator[Record]:
-        self._check_open()
-        records = prefix_records(self.scan, tuple(tokens))
-        if limit is not None:
-            if not isinstance(limit, int) or limit < 0:
-                raise StoreError(
-                    f"prefix limit must be a non-negative integer, got {limit!r}"
-                )
-            records = islice(records, limit)
-        return (NGramRecord(key, value) for key, value in records)
-
-    def top_k(self, k: int, order: str = "frequency") -> List[Record]:
-        """Exact top-k over the *summed* counts.
+    def top_k_into(self, accumulator: TopKAccumulator) -> None:
+        """Exact top-k candidates over the *summed* counts.
 
         A single generation delegates to the store's block-skipping pass;
         with several, per-generation summaries do not bound the summed
-        value, so the exact answer streams the merged scan through one
-        :class:`TopKAccumulator` — identical ranking semantics, O(k)
-        memory, one pass.
+        value, so the merged scan is offered record by record.
         """
-        self._check_open()
-        validate_top_k(k, order)
-        if order == "key":
-            return [NGramRecord(key, value) for key, value in islice(self.scan(), k)]
         if len(self.stores) == 1:
-            return self.stores[0].top_k(k, order)
-        accumulator = TopKAccumulator(k)
-        try:
-            for key, value in self.scan():
-                accumulator.offer(key, value)
-        except TypeError as exc:
-            raise _frequency_type_error(exc) from exc
-        return [NGramRecord(key, value) for key, value in accumulator.results()]
+            self.stores[0].top_k_into(accumulator)
+        else:
+            super().top_k_into(accumulator)
 
     def stats(self) -> Dict[str, Any]:
         """LSM-level stats in the canonical ``StoreAPI`` shape."""
@@ -626,39 +558,6 @@ class GenerationView(StoreAPI):
                 },
             },
         }
-
-    # ------------------------------------------------------ vocabulary ops
-    def _require_vocabulary(self) -> Any:
-        vocabulary = self.vocabulary
-        if vocabulary is None:
-            raise StoreError(
-                f"LSM store {self.store_dir!r} has no persisted vocabulary; "
-                "term-keyed operations need ingests with encoded collections"
-            )
-        return vocabulary
-
-    def translate_terms(self, items: Any) -> List[Optional[Tuple]]:
-        self._check_open()
-        vocabulary = self._require_vocabulary()
-        from repro.exceptions import VocabularyError
-
-        keys: List[Optional[Tuple]] = []
-        for terms in items:
-            try:
-                keys.append(tuple(vocabulary.term_id(term) for term in terms))
-            except VocabularyError:
-                keys.append(None)
-        return keys
-
-    def render_ngrams(self, ngrams: Any) -> List[Tuple[str, ...]]:
-        self._check_open()
-        vocabulary = self._require_vocabulary()
-        return [
-            tuple(vocabulary.term(term_id) for term_id in ngram) for ngram in ngrams
-        ]
-
-    def __iter__(self) -> Iterator[Any]:
-        return (key for key, _ in self.scan())
 
     # ----------------------------------------------------------- lifecycle
     def close(self) -> None:

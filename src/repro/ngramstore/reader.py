@@ -2,11 +2,11 @@
 
 :class:`NGramStore` opens a store directory (manifest + one table per
 range partition, plus an optional vocabulary) and is the local, in-process
-implementation of :class:`~repro.ngramstore.api.StoreAPI` — point lookups,
-prefix/range scans, top-k, stats, and (when the build persisted a
-dictionary) surface-term translation — routing each query to the
-partitions that can answer it via the manifest's boundary keys, exactly
-the ranges the build job partitioned by.
+implementation of the :class:`~repro.ngramstore.api.StoreAPI` kernel —
+point lookups, ordered range scans, the block-skipping top-k pass, stats
+and the persisted dictionary — routing each query to the partitions that
+can answer it via the manifest's boundary keys, exactly the ranges the
+build job partitioned by.
 Tables open lazily and every table keeps only its LRU block cache in
 memory, so serving a store holds ``O(partitions x cache_blocks x block
 size)`` bytes regardless of how many n-grams are stored.
@@ -23,12 +23,11 @@ import heapq
 import os
 import threading
 from bisect import bisect_right
-from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.exceptions import StoreError, VocabularyError
+from repro.exceptions import StoreError
 from repro.kvstore.cached import CacheStats
-from repro.ngramstore.api import NGramRecord, StoreAPI
+from repro.ngramstore.api import StoreAPI
 from repro.ngramstore.build import (
     DICTIONARY_FILENAME,
     RESIDUAL_DIRNAME,
@@ -40,10 +39,7 @@ from repro.ngramstore.table import (
     BlockCache,
     Table,
     TopKAccumulator,
-    _frequency_type_error,
-    prefix_records,
     top_k_records,
-    validate_top_k,
 )
 
 Record = Tuple[Any, Any]
@@ -147,9 +143,6 @@ class NGramStore(StoreAPI):
                     )
         return self._residual
 
-    def __len__(self) -> int:
-        return self.num_records
-
     @property
     def vocabulary(self) -> Optional[Any]:
         """The persisted vocabulary, if the build included one (lazy)."""
@@ -242,16 +235,6 @@ class NGramStore(StoreAPI):
         key = tuple(ngram)
         return self._table(self._partition_for(key)).get(key, default)
 
-    def frequency(self, ngram: Any) -> int:
-        """Statistics-style lookup: the stored value, or 0 when absent."""
-        value = self.get(ngram, 0)
-        return value
-
-    def __contains__(self, ngram: object) -> bool:
-        if not isinstance(ngram, tuple):
-            return False
-        return self.get(ngram, _MISSING) is not _MISSING
-
     def scan(self, start: Any = None, stop: Any = None) -> Iterator[Record]:
         """Stream records with ``start <= key < stop`` across partitions.
 
@@ -273,40 +256,6 @@ class NGramStore(StoreAPI):
                     return
             yield from self._table(index).scan(start=start_key, stop=stop_key)
 
-    def prefix(self, tokens: Any, limit: Optional[int] = None) -> Iterator[Record]:
-        """Stream every stored n-gram starting with ``tokens``, in key order.
-
-        Lazy — downstream consumers (the language model's continuation
-        scan) pull records as needed; ``limit`` caps how many are yielded.
-        """
-        self._check_open()
-        records = prefix_records(self.scan, tuple(tokens))
-        if limit is not None:
-            if not isinstance(limit, int) or limit < 0:
-                raise StoreError(
-                    f"prefix limit must be a non-negative integer, got {limit!r}"
-                )
-            records = islice(records, limit)
-        return (NGramRecord(key, value) for key, value in records)
-
-    def top_k(self, k: int, order: str = "frequency") -> List[Record]:
-        """The ``k`` top records store-wide, streamed with O(k) memory.
-
-        Frequency order shares one heap across every partition, so blocks
-        whose persisted max-value summary cannot beat the current heap
-        floor are skipped unread (see :meth:`top_k_into` for the raw hook).
-        """
-        self._check_open()
-        validate_top_k(k, order)
-        if order == "key":
-            return [NGramRecord(key, value) for key, value in islice(self.scan(), k)]
-        accumulator = TopKAccumulator(k)
-        try:
-            self.top_k_into(accumulator)
-            return [NGramRecord(key, value) for key, value in accumulator.results()]
-        except TypeError as exc:
-            raise _frequency_type_error(exc) from exc
-
     def top_k_into(
         self,
         accumulator: TopKAccumulator,
@@ -315,11 +264,13 @@ class NGramStore(StoreAPI):
     ) -> None:
         """Offer a partition range's candidates to a caller-owned top-k heap.
 
-        Exposed so callers (benchmarks, tests) can inspect the accumulator's
-        ``blocks_scanned``/``blocks_skipped`` counters after the pass, and so
-        a :class:`~repro.ngramstore.router.ShardView` can restrict the pass
-        to the partitions its shard owns (``[first_partition,
-        last_partition)``; the default covers the whole store).
+        One heap is shared across every partition, so blocks whose persisted
+        max-value summary cannot beat the current heap floor are skipped
+        unread (the accumulator's ``blocks_scanned``/``blocks_skipped``
+        count those decisions).  A :class:`~repro.ngramstore.router.ShardView`
+        restricts the pass to the partitions its shard owns
+        (``[first_partition, last_partition)``; the default covers the
+        whole store).
         """
         self._check_open()
         stop = self.num_partitions if last_partition is None else last_partition
@@ -338,10 +289,6 @@ class NGramStore(StoreAPI):
         for index in range(self.num_partitions):
             keys.extend(self._table(index).block_first_keys())
         return keys
-
-    def items(self) -> Iterator[Record]:
-        """Stream every record in global key order."""
-        return self.scan()
 
     def exact_items(self) -> Iterator[Record]:
         """Stream the exact full count table: main + residual, in key order.
@@ -376,45 +323,6 @@ class NGramStore(StoreAPI):
             stats["residual"] = dict(self.manifest["residual"])
         return stats
 
-    # ------------------------------------------------------ vocabulary ops
-    def _require_vocabulary(self) -> Any:
-        vocabulary = self.vocabulary
-        if vocabulary is None:
-            raise StoreError(
-                f"store {self.store_dir!r} has no persisted vocabulary; "
-                "term-keyed operations need a build with vocabulary="
-            )
-        return vocabulary
-
-    def translate_terms(self, items: Any) -> List[Optional[Tuple]]:
-        """Surface-term tuples -> term-id keys; ``None`` where any term is unknown.
-
-        Unknown terms are a normal query outcome (the corpus simply never
-        produced them), not an error — the caller sees ``None`` and treats
-        the n-gram as absent.
-        """
-        self._check_open()
-        vocabulary = self._require_vocabulary()
-        keys: List[Optional[Tuple]] = []
-        for terms in items:
-            try:
-                keys.append(tuple(vocabulary.term_id(term) for term in terms))
-            except VocabularyError:
-                keys.append(None)
-        return keys
-
-    def render_ngrams(self, ngrams: Any) -> List[Tuple[str, ...]]:
-        """Term-id keys -> surface-term tuples via the persisted dictionary."""
-        self._check_open()
-        vocabulary = self._require_vocabulary()
-        return [
-            tuple(vocabulary.term(term_id) for term_id in ngram) for ngram in ngrams
-        ]
-
-    def __iter__(self) -> Iterator[Any]:
-        """Stream every key in global key order."""
-        return (key for key, _ in self.scan())
-
     # ----------------------------------------------------------- lifecycle
     def close(self) -> None:
         if self._closed:
@@ -427,12 +335,6 @@ class NGramStore(StoreAPI):
         if self._residual is not None:
             self._residual.close()
             self._residual = None
-
-    def __enter__(self) -> "NGramStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 class StoreStatistics:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import StoreConnectionError, StoreError
@@ -40,14 +39,10 @@ from repro.ngramstore.api import (
     Record,
     StoreAPI,
     validate_complete_k,
+    validate_prefix_limit,
 )
 from repro.ngramstore.reader import NGramStore
-from repro.ngramstore.table import (
-    TopKAccumulator,
-    _frequency_type_error,
-    prefix_records,
-    validate_top_k,
-)
+from repro.ngramstore.table import TopKAccumulator, validate_top_k
 from repro.util.metrics import MetricsRegistry
 from repro.util.timer import Stopwatch
 
@@ -82,8 +77,8 @@ class ShardView(StoreAPI):
     when the slice reaches the last partition).  Point lookups outside
     the range miss without touching disk; scans are clamped to the range;
     frequency top-k runs the block-skipping accumulator over the owned
-    partitions only.  Vocabulary operations delegate to the full store —
-    the dictionary is store-global, not per-shard.
+    partitions only.  The vocabulary is the full store's — the dictionary
+    is store-global, not per-shard.
     """
 
     def __init__(self, store: NGramStore, shard_index: int, num_shards: int) -> None:
@@ -173,30 +168,9 @@ class ShardView(StoreAPI):
             stop_key = self.upper
         return self.store.scan(start=start_key, stop=stop_key)
 
-    def prefix(self, tokens: Any, limit: Optional[int] = None) -> Iterator[Record]:
-        """Owned records starting with ``tokens``, in key order (lazy)."""
-        records = prefix_records(self.scan, tuple(tokens))
-        if limit is not None:
-            if not isinstance(limit, int) or limit < 0:
-                raise StoreError(
-                    f"prefix limit must be a non-negative integer, got {limit!r}"
-                )
-            records = islice(records, limit)
-        return (NGramRecord(key, value) for key, value in records)
-
-    def top_k(self, k: int, order: str = "frequency") -> List[Record]:
-        """The ``k`` best records among the shard's own partitions."""
-        validate_top_k(k, order)
-        if order == "key":
-            return [NGramRecord(key, value) for key, value in islice(self.scan(), k)]
-        accumulator = TopKAccumulator(k)
-        try:
-            self.store.top_k_into(
-                accumulator, self.first_partition, self.last_partition
-            )
-            return [NGramRecord(key, value) for key, value in accumulator.results()]
-        except TypeError as exc:
-            raise _frequency_type_error(exc) from exc
+    def top_k_into(self, accumulator: TopKAccumulator) -> None:
+        """The block-skipping top-k pass over the shard's own partitions."""
+        self.store.top_k_into(accumulator, self.first_partition, self.last_partition)
 
     def stats(self) -> Dict[str, Any]:
         """The store's stats plus this shard's range descriptor.
@@ -219,13 +193,6 @@ class ShardView(StoreAPI):
             "empty": self.is_empty,
         }
         return stats
-
-    # ------------------------------------------------------ vocabulary ops
-    def translate_terms(self, items: Sequence[Sequence[str]]) -> List[Optional[Tuple]]:
-        return self.store.translate_terms(items)
-
-    def render_ngrams(self, ngrams: Sequence[Tuple]) -> List[Tuple[str, ...]]:
-        return self.store.render_ngrams(ngrams)
 
     # ----------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -365,68 +332,8 @@ class ReplicaPool(StoreAPI):
             + "; ".join(errors)
         )
 
-    # ------------------------------------------------------------- queries
-    def get(self, ngram: Any, default: Any = None) -> Any:
-        return self._invoke("get", ngram, default)
-
-    def multi_get(self, ngrams: Sequence[Any], default: Any = None) -> List[Any]:
-        return self._invoke("multi_get", ngrams, default)
-
     def prefix(self, tokens: Any, limit: Optional[int] = None) -> List[Record]:
         return list(self._invoke("prefix", tokens, limit=limit))
-
-    def multi_prefix(
-        self, prefixes: Sequence[Any], limit: Optional[int] = None
-    ) -> List[List[Record]]:
-        return [
-            list(records)
-            for records in self._invoke("multi_prefix", prefixes, limit=limit)
-        ]
-
-    def top_k(self, k: int, order: str = "frequency") -> List[Record]:
-        return self._invoke("top_k", k, order)
-
-    def complete(self, ngram: Any, k: int = DEFAULT_COMPLETE_K) -> List[Completion]:
-        return self._invoke("complete", ngram, k)
-
-    def complete_terms(
-        self, terms: Sequence[str], k: int = DEFAULT_COMPLETE_K
-    ) -> List[Completion]:
-        return self._invoke("complete_terms", terms, k)
-
-    def compare(self, ngram: Any) -> Dict[str, Any]:
-        return self._invoke("compare", ngram)
-
-    def compare_terms(self, terms: Sequence[str]) -> Dict[str, Any]:
-        return self._invoke("compare_terms", terms)
-
-    def stats(self) -> Dict[str, Any]:
-        return self._invoke("stats")
-
-    def ping(self) -> bool:
-        return bool(self._invoke("ping"))
-
-    def translate_terms(self, items: Sequence[Sequence[str]]) -> List[Optional[Tuple]]:
-        return self._invoke("translate_terms", items)
-
-    def render_ngrams(self, ngrams: Sequence[Tuple]) -> List[Tuple[str, ...]]:
-        return self._invoke("render_ngrams", ngrams)
-
-    def get_terms(self, terms: Sequence[str], default: Any = None) -> Any:
-        return self._invoke("get_terms", terms, default)
-
-    def multi_get_terms(
-        self, items: Sequence[Sequence[str]], default: Any = None
-    ) -> List[Any]:
-        return self._invoke("multi_get_terms", items, default)
-
-    def prefix_terms(
-        self, terms: Sequence[str], limit: Optional[int] = None
-    ) -> List[Record]:
-        return list(self._invoke("prefix_terms", terms, limit=limit))
-
-    def top_k_terms(self, k: int, order: str = "frequency") -> List[Record]:
-        return self._invoke("top_k_terms", k, order)
 
     # ----------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -435,6 +342,42 @@ class ReplicaPool(StoreAPI):
                 client.close()
             except (StoreError, OSError):
                 pass
+
+
+def _replicated(method: str) -> Callable[..., Any]:
+    def call(self: ReplicaPool, *args: Any, **kwargs: Any) -> Any:
+        return self._invoke(method, *args, **kwargs)
+
+    call.__name__ = method
+    call.__doc__ = f"``{method}`` answered by the next healthy replica."
+    return call
+
+
+# Every operation is an idempotent read of identical stores, so each one is
+# the same delegation; only ``prefix`` (above) differs, by materialising.
+for _method in (
+    "get",
+    "multi_get",
+    "multi_prefix",
+    "top_k",
+    "complete",
+    "complete_terms",
+    "compare",
+    "compare_terms",
+    "stats",
+    "ping",
+    "translate_terms",
+    "render_ngrams",
+    "get_terms",
+    "multi_get_terms",
+    "prefix_terms",
+    "top_k_terms",
+):
+    setattr(ReplicaPool, _method, _replicated(_method))
+
+
+#: ``compare``'s answer for a key that exists in neither store.
+_ABSENT_COMPARISON = {"found_a": False, "value_a": None, "found_b": False, "value_b": None}
 
 
 class _ShardEntry:
@@ -615,19 +558,18 @@ class ShardRouter(StoreAPI):
             self._fanout_seconds.observe(watch.elapsed(), op=op)
             self._fanout_shards.observe(float(len(items)), op=op)
 
+    def _ask_owner(
+        self, op: str, key: Tuple, absent: Any, call: Callable[[StoreAPI], Any]
+    ) -> Any:
+        """``call`` on the one shard owning ``key``; ``absent`` when none does."""
+        owner = self._owner(key)
+        answers = self._fan_out([] if owner is None else [owner.client], call, op=op)
+        return answers[0] if answers else absent
+
     # ------------------------------------------------------------- queries
     def get(self, ngram: Any, default: Any = None) -> Any:
         key = tuple(ngram)
-        owner = self._owner(key)
-        watch = Stopwatch()
-        try:
-            if owner is None:
-                return default
-            return owner.client.get(key, default)
-        finally:
-            self._router_requests.inc(op="get")
-            self._fanout_seconds.observe(watch.elapsed(), op="get")
-            self._fanout_shards.observe(0.0 if owner is None else 1.0, op="get")
+        return self._ask_owner("get", key, default, lambda client: client.get(key, default))
 
     def multi_get(self, ngrams: Sequence[Any], default: Any = None) -> List[Any]:
         keys = [tuple(ngram) for ngram in ngrams]
@@ -652,10 +594,7 @@ class ShardRouter(StoreAPI):
         return results
 
     def prefix(self, tokens: Any, limit: Optional[int] = None) -> List[Record]:
-        if limit is not None and (not isinstance(limit, int) or limit < 0):
-            raise StoreError(
-                f"prefix limit must be a non-negative integer, got {limit!r}"
-            )
+        validate_prefix_limit(limit)
         prefix = tuple(tokens)
         # Every relevant shard is asked with the caller's full limit in
         # parallel: each shard's capped result is a superset of its
@@ -736,38 +675,18 @@ class ShardRouter(StoreAPI):
 
         Shard servers mount the comparison store whole (it is not
         sharded), so the owner answers for both sides; a key no shard owns
-        can exist in neither store and short-circuits to all-missing.
+        (only possible when every shard is empty) short-circuits to
+        all-missing.
         """
         key = tuple(ngram)
-        owner = self._owner(key)
-        watch = Stopwatch()
-        try:
-            if owner is None:
-                # Only possible when every shard is empty; the engine's
-                # answer for a key absent from both stores.
-                return {
-                    "found_a": False,
-                    "value_a": None,
-                    "found_b": False,
-                    "value_b": None,
-                }
-            return owner.client.compare(key)
-        finally:
-            self._router_requests.inc(op="compare")
-            self._fanout_seconds.observe(watch.elapsed(), op="compare")
-            self._fanout_shards.observe(0.0 if owner is None else 1.0, op="compare")
+        return self._ask_owner(
+            "compare", key, dict(_ABSENT_COMPARISON), lambda client: client.compare(key)
+        )
 
     def compare_terms(self, terms: Sequence[str]) -> Dict[str, Any]:
-        (key,) = self._any_client().translate_terms([tuple(terms)])
-        if key is None:
-            # The engine's unknown-surface-term answer: found nowhere.
-            return {
-                "found_a": False,
-                "value_a": None,
-                "found_b": False,
-                "value_b": None,
-            }
-        return self.compare(key)
+        (key,) = self.translate_terms([tuple(terms)])
+        # An unknown surface term is found nowhere, exactly the engine's answer.
+        return dict(_ABSENT_COMPARISON) if key is None else self.compare(key)
 
     def stats(self) -> Dict[str, Any]:
         """Aggregated topology stats: store totals plus per-shard summary."""

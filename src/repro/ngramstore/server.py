@@ -1,19 +1,22 @@
-"""Long-lived query server over one shared :class:`NGramStore`.
+"""Long-lived socket query server over one shared store, and its client.
 
-The north star is serving n-gram statistics to many consumers, and the
-``query`` CLI opens (and throws away) a store per invocation.
-:class:`NGramStoreServer` keeps one store open in one process, shares a
-single process-wide LRU :class:`~repro.ngramstore.table.BlockCache` across
-every partition, and serves concurrent clients from a thread per
-connection — the store layer's locks (added for exactly this) make the
-readers safe, and the cache turns a hot key set into pure in-memory
-bisects no matter which connection asked first.
+The ``query`` CLI opens (and throws away) a store per invocation.
+:class:`NGramStoreServer` keeps one
+:class:`~repro.ngramstore.service.StoreService` — the open store, its
+process-wide LRU :class:`~repro.ngramstore.table.BlockCache`, the query
+engine and the metrics — alive in one process and serves concurrent
+clients from a thread per connection.  This module is only the transport:
+the accept loop and the two framings of the socket protocol.  Every
+decoded request is answered by ``StoreService.execute``, the same path
+the HTTP adapter (:mod:`repro.ngramstore.http`) runs.
 
-The wire protocol is newline-delimited JSON — one request object per
-line, one response object per line, over a plain TCP socket.  The request
-schema is the unified one served by
-:class:`~repro.ngramstore.api.QueryEngine` (shared verbatim with the HTTP
-adapter in :mod:`repro.ngramstore.http`)::
+The preferred framing is the binary protocol of
+:mod:`repro.ngramstore.wire`: a client opens with the ``NGWIRE1\\n`` magic
+line, the server answers with a framed hello, and both sides exchange
+varint-framed binary messages.  A connection that does not open with the
+magic is served newline-delimited JSON — one request object per line, one
+response object per line.  Both framings carry the same unified schema
+(:class:`~repro.ngramstore.api.QueryEngine`)::
 
     -> {"op": "get", "key": [3, 7]}
     <- {"ok": true, "found": true, "value": 42}
@@ -45,411 +48,45 @@ adapter in :mod:`repro.ngramstore.http`)::
 
     -> {"op": "stats"} | {"op": "server_stats"} | {"op": "ping"}
 
-Keys travel as JSON arrays of term identifiers (the store's native keys);
+Keys travel as arrays of term identifiers (the store's native keys);
 term-keyed variants (``"terms"`` instead of ``"key"``/``"keys"``, or
 ``"surface": true`` on ``top_k``) run the vocabulary translation
-server-side, where the dictionary lives.  The pre-redesign spellings
-``"ngram"`` (get) and ``"tokens"`` (prefix) are still served, flagged
-with a ``"deprecated"`` note in the response.  Failures come back as
+server-side, where the dictionary lives.  Failures come back as
 ``{"ok": false, "error": ...}`` on the same stream, so one bad request
 does not cost the connection.  :class:`StoreClient` is the in-repo
-client: a :class:`~repro.ngramstore.api.RemoteStore` that speaks the
-protocol and hands back the canonical records, exactly what
-:class:`NGramStore` itself returns — the serve-smoke CI step asserts that
-equivalence byte for byte.
-
-Newline-JSON is the *fallback*; the preferred framing is the binary
-protocol of :mod:`repro.ngramstore.wire`, negotiated on connect: a
-binary-capable client opens with the ``NGWIRE1\\n`` magic line, a
-binary-capable server answers with a framed hello and both sides switch
-to varint-framed binary messages carrying the same request/response
-objects.  A legacy JSON server parses the magic as a malformed request
-and answers an error line — the client sees the ``{`` byte, consumes the
-line and falls back to JSON.  A legacy JSON client never sends the magic
-and is served exactly as before.  Both framings feed the same
-:class:`QueryEngine`, so answers are value-identical by construction.
+client: a :class:`~repro.ngramstore.api.RemoteStore` that speaks either
+framing and hands back the canonical records, exactly what a local store
+itself returns — the serve-smoke CI step asserts that equivalence.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import socket
 import threading
 import time
-import warnings
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import ServerConfig
 from repro.exceptions import SerializationError, StoreConnectionError, StoreError
-from repro.ngramstore.api import (
-    MAX_PREFIX_RECORDS,
-    MAX_TOP_K,
-    OPERATIONS,
-    QueryEngine,
-    RemoteStore,
-    ensure_comparable_vocabulary,
-    normalize_request,
-)
-from repro.ngramstore.reader import NGramStore
-from repro.ngramstore.table import BlockCache
+from repro.ngramstore.api import RemoteStore
+from repro.ngramstore.service import MAX_REQUEST_BYTES, StoreService
 from repro.ngramstore.wire import (
     WIRE_MAGIC,
     encode_hello,
     encode_message,
     read_message,
 )
-from repro.util.metrics import MetricsRegistry, snapshot_quantile
-from repro.util.timer import Stopwatch
-from repro.util.tracing import SlowQueryLog, TraceContext, attach_trace
+from repro.util.tracing import attach_trace
 
-__all__ = [
-    "MAX_PREFIX_RECORDS",
-    "MAX_REQUEST_BYTES",
-    "MAX_TOP_K",
-    "NGramStoreServer",
-    "OPERATIONS",
-    "ServerMetrics",
-    "StoreClient",
-    "build_cache_summary",
-    "percentile",
-    "register_store_observables",
-    "render_server_metrics",
-    "request_key_count",
-]
-
-Record = Tuple[Any, Any]
-
-#: Largest accepted request line; anything longer is a protocol error.
-MAX_REQUEST_BYTES = 1 << 20
-
-#: Operations that read blocks — the ones worth per-request I/O deltas.
-_READ_OPERATIONS = frozenset(
-    ("get", "multi_get", "prefix", "multi_prefix", "top_k", "complete", "compare")
-)
+__all__ = ["MAX_REQUEST_BYTES", "NGramStoreServer", "StoreClient", "percentile"]
 
 
 def percentile(sorted_samples: List[float], fraction: float) -> float:
     """Nearest-rank percentile of an ascending sample list (must be non-empty)."""
     rank = max(1, min(len(sorted_samples), math.ceil(len(sorted_samples) * fraction)))
     return sorted_samples[rank - 1]
-
-
-def request_key_count(request: Any) -> int:
-    """How many keys a request asks about (for slow-query log lines)."""
-    if not isinstance(request, dict):
-        return 0
-    for field in ("keys", "ngrams"):
-        value = request.get(field)
-        if isinstance(value, list):
-            return len(value)
-    terms = request.get("terms")
-    if isinstance(terms, list):
-        # "terms" is either one surface key (list of strings) or a batch
-        # of them (list of lists, for multi_get / translate).
-        if terms and isinstance(terms[0], list):
-            return len(terms)
-        return 1
-    if isinstance(request.get("key"), list):
-        return 1
-    return 0
-
-
-class ServerMetrics:
-    """Thread-safe per-operation request counts and latency aggregates.
-
-    Backed by a :class:`~repro.util.metrics.MetricsRegistry` (a private
-    one unless the caller shares one in): per-operation counters, error
-    counters, and fixed-bucket latency histograms, plus per-stage
-    histograms fed by request tracing.  The :meth:`snapshot` shape is the
-    pre-registry one (``server_stats`` consumers keep working), but the
-    percentiles now derive from the histograms — every observation ever
-    made weighs in, unlike the old capped sample list that kept only the
-    *first* N observations and therefore reported warm-up latency
-    forever.  The registry itself is exposed as ``.registry`` so the
-    owning server can hang scrape-time gauges (cache, I/O, connections)
-    off the same exposition surface.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.started_at = time.time()
-        self._requests = self.registry.counter(
-            "ngramstore_requests_total", "Requests served, by operation", labels=("op",)
-        )
-        self._request_errors = self.registry.counter(
-            "ngramstore_request_errors_total",
-            "Requests answered with an error, by operation",
-            labels=("op",),
-        )
-        self._latency = self.registry.histogram(
-            "ngramstore_request_seconds",
-            "Request latency in seconds, by operation",
-            labels=("op",),
-        )
-        self._stages = self.registry.histogram(
-            "ngramstore_stage_seconds",
-            "Per-request stage latency in seconds (parse/route/block_read/decode)",
-            labels=("stage",),
-        )
-        self._connections = self.registry.counter(
-            "ngramstore_connections_total", "Client connections accepted"
-        )
-
-    # Pre-registry attribute surface, preserved for existing consumers.
-    @property
-    def connections_accepted(self) -> int:
-        return int(self._connections.value())
-
-    @property
-    def requests(self) -> int:
-        return int(self._requests.total())
-
-    @property
-    def errors(self) -> int:
-        return int(self._request_errors.total())
-
-    def record_connection(self) -> None:
-        self._connections.inc()
-
-    def record(self, operation: str, seconds: float, ok: bool) -> None:
-        self._requests.inc(op=operation)
-        if not ok:
-            self._request_errors.inc(op=operation)
-        self._latency.observe(seconds, op=operation)
-
-    def record_stage(self, stage: str, seconds: float) -> None:
-        self._stages.observe(seconds, stage=stage)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Aggregated counters plus histogram-derived percentiles, JSON-ready."""
-        counts = {
-            series["labels"]["op"]: int(series["value"])
-            for series in self._requests.snapshot()
-        }
-        errors = {
-            series["labels"]["op"]: int(series["value"])
-            for series in self._request_errors.snapshot()
-        }
-        operations: Dict[str, Any] = {}
-        for series in self._latency.snapshot():
-            operation = series["labels"]["op"]
-            count = series["count"]
-            if count == 0:
-                continue
-            total_s = series["sum"]
-            operations[operation] = {
-                "count": counts.get(operation, count),
-                "errors": errors.get(operation, 0),
-                "total_ms": round(total_s * 1e3, 3),
-                "mean_us": round(total_s / count * 1e6, 1),
-                "p50_us": round(snapshot_quantile(series, 0.50) * 1e6, 1),
-                "p90_us": round(snapshot_quantile(series, 0.90) * 1e6, 1),
-                "p99_us": round(snapshot_quantile(series, 0.99) * 1e6, 1),
-                "max_us": round(series["max"] * 1e6, 1),
-            }
-        stages: Dict[str, Any] = {}
-        for series in self._stages.snapshot():
-            count = series["count"]
-            if count == 0:
-                continue
-            stages[series["labels"]["stage"]] = {
-                "count": count,
-                "total_ms": round(series["sum"] * 1e3, 3),
-                "mean_us": round(series["sum"] / count * 1e6, 1),
-                "p50_us": round(snapshot_quantile(series, 0.50) * 1e6, 1),
-                "p99_us": round(snapshot_quantile(series, 0.99) * 1e6, 1),
-            }
-        return {
-            "uptime_s": round(time.time() - self.started_at, 3),
-            "connections_accepted": self.connections_accepted,
-            "requests": self.requests,
-            "errors": self.errors,
-            "operations": operations,
-            "stages": stages,
-        }
-
-
-def build_cache_summary(store: Any, cache: Optional[BlockCache]) -> Dict[str, Any]:
-    """Block-cache counters, JSON-ready (the ``server_stats`` cache shape).
-
-    ``store.cache_stats()`` covers both layouts — the shared cache's
-    counters, or the per-table aggregate for caller-managed stores;
-    capacity/residency only exist when one shared cache is in play.
-    Shared between the socket server and the HTTP adapter so both report
-    the same shape.
-    """
-    stats = store.cache_stats()
-    summary: Dict[str, Any] = {
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "evictions": stats.evictions,
-        "hit_rate": round(stats.hit_rate, 6),
-    }
-    if cache is not None:
-        summary["capacity_blocks"] = cache.capacity
-        summary["resident_blocks"] = len(cache)
-    return summary
-
-
-def register_store_observables(
-    registry: MetricsRegistry,
-    store: Any,
-    cache: Optional[BlockCache],
-    active_connections: Any = None,
-) -> None:
-    """Hang scrape-time gauges for a served store off ``registry``.
-
-    The block cache, the reader's I/O counters and the connection set all
-    keep live state of their own; callback gauges read them at scrape
-    time instead of mirroring every mutation, so the hot path pays
-    nothing for exposition.  Shared by the socket server and the HTTP
-    adapter so both expose the same catalog.
-    """
-    if hasattr(store, "cache_stats"):
-        cache_events = registry.gauge(
-            "ngramstore_block_cache_events",
-            "Block cache counters since startup (monotonic)",
-            labels=("event",),
-        )
-
-        def _cache_stat(field: str) -> Any:
-            return lambda: float(getattr(store.cache_stats(), field))
-
-        for event in ("hits", "misses", "evictions"):
-            cache_events.set_callback(_cache_stat(event), event=event)
-    if cache is not None:
-        registry.gauge(
-            "ngramstore_block_cache_capacity_blocks", "Shared block cache capacity"
-        ).set_callback(lambda: float(cache.capacity))
-        registry.gauge(
-            "ngramstore_block_cache_resident_blocks", "Blocks currently cached"
-        ).set_callback(lambda: float(len(cache)))
-    if hasattr(store, "io_stats"):
-        io_events = registry.gauge(
-            "ngramstore_io_events",
-            "Store I/O counters since startup: blocks decoded, bloom-filter "
-            "rejections, mmap-served partitions, cumulative decode seconds",
-            labels=("event",),
-        )
-
-        def _io_stat(field: str) -> Any:
-            return lambda: float(store.io_stats().get(field, 0))
-
-        for event in (
-            "blocks_decoded",
-            "bloom_rejections",
-            "blocks_checksum_failed",
-            "mmap_partitions",
-            "decode_seconds",
-        ):
-            io_events.set_callback(_io_stat(event), event=event)
-    if hasattr(store, "manifest"):
-        registry.gauge(
-            "ngramstore_store_records", "Records served by this store"
-        ).set_callback(lambda: float(store.stats()["num_records"]))
-        registry.gauge(
-            "ngramstore_store_partitions", "Partitions served by this store"
-        ).set_callback(lambda: float(store.stats()["num_partitions"]))
-    if hasattr(store, "shard_index"):
-        shard = registry.gauge(
-            "ngramstore_shard", "Shard identity of this server", labels=("field",)
-        )
-        shard.set_callback(lambda: float(store.shard_index), field="index")
-        shard.set_callback(lambda: float(store.num_shards), field="num_shards")
-    if active_connections is not None:
-        registry.gauge(
-            "ngramstore_active_connections", "Open client connections"
-        ).set_callback(lambda: float(active_connections()))
-
-
-def collect_io_counters(store: Any, operation: str) -> Optional[Dict[str, float]]:
-    """Live I/O + cache counters, for per-request deltas on read operations.
-
-    ``None`` for operations that never touch blocks (ping, stats, ...) or
-    stores that expose neither surface — callers skip the delta entirely.
-    """
-    if operation not in _READ_OPERATIONS:
-        return None
-    counters: Dict[str, float] = {}
-    if hasattr(store, "io_stats"):
-        counters.update(store.io_stats())
-    if hasattr(store, "cache_stats"):
-        stats = store.cache_stats()
-        counters["cache_hits"] = stats.hits
-        counters["cache_misses"] = stats.misses
-    return counters or None
-
-
-def finish_request_observation(
-    metrics: ServerMetrics,
-    slow_log: Optional[SlowQueryLog],
-    trace: TraceContext,
-    bucket: str,
-    request: Any,
-    elapsed: float,
-    ok: bool,
-    io_before: Optional[Dict[str, float]],
-    io_after: Optional[Dict[str, float]],
-) -> None:
-    """One request's tail: metrics, stage histograms, maybe a slow-log line.
-
-    Shared by the socket server and the HTTP adapter so stage attribution
-    and the slow-query record shape cannot drift between transports.  When
-    I/O counters were captured around the request, the engine's ``read``
-    stage is split into ``block_read`` vs ``decode`` using the decode-time
-    the store accumulated — the counters are process-wide, so under
-    concurrent load the attribution is approximate; over a slow request's
-    many blocks it is still the signal that matters.
-    """
-    io_delta: Optional[Dict[str, float]] = None
-    if io_before is not None:
-        io_delta = {
-            field: (io_after or {}).get(field, 0) - before
-            for field, before in io_before.items()
-        }
-        read_seconds = trace.stages.pop("read", None)
-        decode_delta = io_delta.pop("decode_seconds", 0.0)
-        if read_seconds is not None:
-            decode = max(0.0, min(read_seconds, decode_delta))
-            trace.add_stage("decode", decode)
-            trace.add_stage("block_read", read_seconds - decode)
-    metrics.record(bucket, elapsed, ok)
-    for stage, seconds in trace.stages.items():
-        metrics.record_stage(stage, seconds)
-    if slow_log is not None and slow_log.should_log(elapsed):
-        entry: Dict[str, Any] = {
-            "trace_id": trace.trace_id,
-            "op": bucket,
-            "ok": ok,
-            "duration_ms": round(elapsed * 1e3, 3),
-            "key_count": request_key_count(request),
-            "stages_ms": trace.stages_ms(),
-        }
-        if io_delta is not None:
-            entry["io"] = {
-                field: round(value, 6) if isinstance(value, float) else value
-                for field, value in io_delta.items()
-            }
-        slow_log.record(entry)
-
-
-def render_server_metrics(metrics: ServerMetrics, store: Any) -> str:
-    """The full Prometheus exposition for one server.
-
-    A store that is itself an observable component (a
-    :class:`~repro.ngramstore.router.ShardRouter` or
-    :class:`~repro.ngramstore.router.ReplicaPool` fronted by this server)
-    carries its own ``metrics_registry``; its series are appended so a
-    gateway deployment exposes router fan-out and quarantine series from
-    the same ``/metrics`` scrape.
-    """
-    text = metrics.registry.render_prometheus()
-    store_registry = getattr(store, "metrics_registry", None)
-    if store_registry is not None and store_registry is not metrics.registry:
-        text += store_registry.render_prometheus()
-    return text
 
 
 class NGramStoreServer:
@@ -460,52 +97,9 @@ class NGramStoreServer:
     listen backlog (backpressure) instead of failing or piling up threads.
     """
 
-    def __init__(
-        self,
-        store: Any,
-        config: Optional[ServerConfig] = None,
-    ) -> None:
-        self.config = config if config is not None else ServerConfig()
-        if isinstance(store, (str, os.PathLike)):
-            from repro.ngramstore.lsm import open_store_auto
-
-            self.cache = BlockCache(self.config.cache_blocks)
-            # Auto-detects the directory kind: a plain store opens as an
-            # NGramStore, an LSM directory as a GenerationView over its
-            # live generations — the serving tier is ingestion-agnostic.
-            self.store = open_store_auto(str(store), cache=self.cache)
-        else:
-            # Caller-managed store (an NGramStore, or a ShardView over
-            # one): its cache setup is its own business — self.cache is
-            # None when it uses private per-table caches, so stats
-            # reporting falls back to the store's aggregation instead of
-            # an orphan cache no table feeds.
-            self.store = store
-            self.cache = getattr(store, "cache", None)
-        self.extra_store: Any = None
-        if self.config.extra_store is not None:
-            from repro.ngramstore.lsm import open_store_auto
-
-            # The comparison store shares the process-wide block cache when
-            # one exists (entries are namespaced by path, so the two stores
-            # never collide) and must speak the served store's vocabulary.
-            try:
-                self.extra_store = open_store_auto(
-                    self.config.extra_store, cache=self.cache
-                )
-                ensure_comparable_vocabulary(self.store, self.extra_store)
-            except Exception:
-                if self.extra_store is not None:
-                    self.extra_store.close()
-                self.store.close()
-                raise
-        self.engine = QueryEngine(self.store, extra_store=self.extra_store)
-        self.metrics = ServerMetrics()
-        self.slow_log: Optional[SlowQueryLog] = None
-        if self.config.slow_query_ms is not None:
-            self.slow_log = SlowQueryLog(
-                self.config.slow_query_ms, self.config.slow_query_log
-            )
+    def __init__(self, store: Any, config: Optional[ServerConfig] = None) -> None:
+        self.service = StoreService(store, config, self._active_connections)
+        self.config = self.service.config
         self.host = self.config.host
         self.port = self.config.port
         self._listener: Optional[socket.socket] = None
@@ -514,9 +108,6 @@ class NGramStoreServer:
         self._shutdown = threading.Event()
         self._connections: "set[socket.socket]" = set()
         self._connections_lock = threading.Lock()
-        register_store_observables(
-            self.metrics.registry, self.store, self.cache, self._active_connections
-        )
 
     def _active_connections(self) -> int:
         with self._connections_lock:
@@ -567,11 +158,7 @@ class NGramStoreServer:
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
-        if self.slow_log is not None:
-            self.slow_log.close()
-        if self.extra_store is not None:
-            self.extra_store.close()
-        self.store.close()
+        self.service.close()
 
     def __enter__(self) -> "NGramStoreServer":
         self.start()
@@ -579,14 +166,6 @@ class NGramStoreServer:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def cache_summary(self) -> Dict[str, Any]:
-        """Block-cache counters, JSON-ready (the ``server_stats`` shape).
-
-        The shared cache object outlives a closed store, so the CLI can
-        still build its shutdown report from this.
-        """
-        return build_cache_summary(self.store, self.cache)
 
     # ------------------------------------------------------------- serving
     def _accept_loop(self) -> None:
@@ -610,7 +189,7 @@ class NGramStoreServer:
                 connection.close()
                 self._slots.release()
                 return
-            self.metrics.record_connection()
+            self.service.metrics.record_connection()
             with self._connections_lock:
                 self._connections.add(connection)
             handler = threading.Thread(
@@ -637,13 +216,9 @@ class NGramStoreServer:
                     line = reader.readline(MAX_REQUEST_BYTES + 1)
                     if not line:
                         return
-                    if (
-                        first_line
-                        and self.config.binary
-                        and line.rstrip(b"\r\n") == WIRE_MAGIC
-                    ):
-                        # Binary-capable client: answer the hello frame and
-                        # switch the whole connection to binary framing.
+                    if first_line and line.rstrip(b"\r\n") == WIRE_MAGIC:
+                        # Answer the hello frame and switch the whole
+                        # connection to binary framing.
                         self._serve_binary(connection, reader)
                         return
                     first_line = False
@@ -653,16 +228,7 @@ class NGramStoreServer:
                             {"ok": False, "error": "request exceeds 1 MiB"},
                         )
                         return
-                    parse_watch = Stopwatch()
-                    try:
-                        request: Any = json.loads(line)
-                    except ValueError as error:
-                        request = StoreError(f"request is not valid JSON: {error}")
-                    parse_seconds = parse_watch.elapsed()
-                    if not self._respond(
-                        connection,
-                        self._execute(request, parse_seconds=parse_seconds),
-                    ):
+                    if not self._respond(connection, self.service.execute_json(line)):
                         return
         except OSError:
             pass  # client went away (or shutdown closed the socket underneath)
@@ -676,7 +242,7 @@ class NGramStoreServer:
             self._slots.release()
 
     def _serve_binary(self, connection: socket.socket, reader: Any) -> None:
-        """Serve one negotiated binary connection until it closes.
+        """Serve one binary-framed connection until it closes.
 
         Framing errors (truncated, oversized or undecodable frames) end
         the connection after one in-stream error message — past the frame
@@ -693,58 +259,8 @@ class NGramStoreServer:
                 return
             if request is None:
                 return
-            if not self._respond_binary(connection, self._execute(request)):
+            if not self._respond_binary(connection, self.service.execute(request)):
                 return
-
-    def _execute(self, request: Any, parse_seconds: float = 0.0) -> Dict[str, Any]:
-        """One decoded request -> one response dict, with metrics recorded.
-
-        Shared by both framings — the protocols differ only in how bytes
-        become the request object and how the response object becomes
-        bytes.  Pass an exception as ``request`` to report a decode
-        failure through the same error/metrics path.
-
-        ``parse_seconds`` is time the transport already spent decoding the
-        request bytes; it counts toward the request's latency and shows up
-        as the ``parse`` stage.
-        """
-        watch = Stopwatch()
-        operation = "invalid"
-        trace = TraceContext.from_request(request)
-        if parse_seconds:
-            trace.add_stage("parse", parse_seconds)
-        io_before: Optional[Dict[str, float]] = None
-        try:
-            if isinstance(request, Exception):
-                raise request
-            if not isinstance(request, dict):
-                raise StoreError("request must be a JSON object")
-            operation = str(request.get("op"))
-            io_before = collect_io_counters(self.store, operation)
-            response = self._handle(operation, request, trace)
-            response["ok"] = True
-        except (StoreError, KeyError, TypeError, ValueError) as error:
-            response = {"ok": False, "error": f"{error}"}
-        ok = response.get("ok", False)
-        elapsed = watch.elapsed() + parse_seconds
-        # Clamp to the known set: client-chosen strings must not
-        # grow the metrics dict without bound on a long-lived server.
-        bucket = operation if operation in OPERATIONS else "invalid"
-        io_after = (
-            collect_io_counters(self.store, operation) if io_before is not None else None
-        )
-        finish_request_observation(
-            self.metrics,
-            self.slow_log,
-            trace,
-            bucket,
-            request,
-            elapsed,
-            ok,
-            io_before,
-            io_after,
-        )
-        return response
 
     def _respond(self, connection: socket.socket, response: Dict[str, Any]) -> bool:
         try:
@@ -775,44 +291,14 @@ class NGramStoreServer:
         except OSError:
             return False
 
-    # ------------------------------------------------------------ handlers
-    def _handle(
-        self,
-        operation: str,
-        request: Dict[str, Any],
-        trace: Optional[TraceContext] = None,
-    ) -> Dict[str, Any]:
-        """One request dict -> one response dict (without the ``ok`` field).
-
-        ``server_stats`` and ``metrics`` are transport state (metrics,
-        cache, connections) and are answered here; every store query goes
-        through the shared :class:`QueryEngine`, after
-        :func:`normalize_request` maps legacy field spellings onto the
-        unified schema.
-        """
-        if operation == "server_stats":
-            snapshot = self.metrics.snapshot()
-            snapshot["cache"] = self.cache_summary()
-            with self._connections_lock:
-                snapshot["active_connections"] = len(self._connections)
-            return snapshot
-        if operation == "metrics":
-            return {"text": render_server_metrics(self.metrics, self.store)}
-        request, deprecated = normalize_request(request)
-        response = self.engine.handle(request, trace=trace)
-        if deprecated:
-            response["deprecated"] = deprecated
-        return response
-
 
 class StoreClient(RemoteStore):
-    """Socket client for :class:`NGramStoreServer`'s newline-JSON protocol.
+    """Socket client for :class:`NGramStoreServer`.
 
     A :class:`~repro.ngramstore.api.RemoteStore`: the full ``StoreAPI``
-    surface over one TCP connection, returning the canonical records
-    (tuple-compatible with the pre-redesign plain tuples).  One instance
-    owns one connection and is not itself thread-safe; concurrent callers
-    each open their own (the server is built for many connections).
+    surface over one TCP connection, returning the canonical records.  One
+    instance owns one connection and is not itself thread-safe; concurrent
+    callers each open their own (the server is built for many connections).
 
     Connection handling is resilient by default because every operation
     is an idempotent read: the initial connect retries ``max_retries``
@@ -824,45 +310,26 @@ class StoreClient(RemoteStore):
     pools treat as "fail over", unlike an application
     :class:`StoreError` the server answered.
 
-    ``timeout=`` is the deprecated pre-redesign knob: it set one budget
-    for both connecting and reading.  Pass ``connect_timeout`` /
-    ``read_timeout`` instead.
-
-    ``protocol`` selects the wire framing: ``"auto"`` (the default) opens
-    with the binary magic and falls back to newline-JSON when the server
-    turns out not to speak it; ``"binary"`` requires the binary protocol
-    (a JSON-only server is an error); ``"json"`` skips negotiation and
-    speaks newline-JSON, byte-compatible with pre-binary clients.  The
-    negotiated mode is visible as ``negotiated_protocol``.
+    ``protocol`` selects the wire framing: ``"binary"`` (the default)
+    opens with the magic line and exchanges varint-framed messages;
+    ``"json"`` speaks newline-delimited JSON.
     """
 
     def __init__(
         self,
         host: str,
         port: int,
-        timeout: Optional[float] = None,
         *,
         connect_timeout: float = 5.0,
         read_timeout: float = 30.0,
         max_retries: int = 2,
         backoff: float = 0.05,
-        protocol: str = "auto",
+        protocol: str = "binary",
     ) -> None:
-        if timeout is not None:
-            warnings.warn(
-                "StoreClient(timeout=...) is deprecated; use connect_timeout= "
-                "and read_timeout=",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            connect_timeout = timeout
-            read_timeout = timeout
         if max_retries < 0:
             raise StoreError(f"max_retries must be >= 0, got {max_retries}")
-        if protocol not in ("auto", "binary", "json"):
-            raise StoreError(
-                f"protocol must be 'auto', 'binary' or 'json', got {protocol!r}"
-            )
+        if protocol not in ("binary", "json"):
+            raise StoreError(f"protocol must be 'binary' or 'json', got {protocol!r}")
         self.host = host
         self.port = port
         self.connect_timeout = connect_timeout
@@ -870,7 +337,6 @@ class StoreClient(RemoteStore):
         self.max_retries = max_retries
         self.backoff = backoff
         self.protocol = protocol
-        self.negotiated_protocol: Optional[str] = None
         self.last_trace_id: Optional[str] = None
         self._socket: Optional[socket.socket] = None
         self._reader: Optional[Any] = None
@@ -910,10 +376,8 @@ class StoreClient(RemoteStore):
                 )
                 self._socket.settimeout(self.read_timeout)
                 self._reader = self._socket.makefile("rb")
-                if self.protocol == "json":
-                    self.negotiated_protocol = "json"
-                else:
-                    self._negotiate()
+                if self.protocol == "binary":
+                    self._open_binary()
                 return
             except OSError as error:
                 self._drop()
@@ -924,39 +388,17 @@ class StoreClient(RemoteStore):
                     ) from error
                 time.sleep(self.backoff * (2 ** attempt))
 
-    def _negotiate(self) -> None:
-        """Offer the binary protocol; settle on what the server speaks.
-
-        The magic line is newline-terminated, so a legacy JSON server
-        parses it as one malformed request and answers an error line —
-        which necessarily starts with ``{``, a byte no binary hello frame
-        starts with (see :func:`repro.ngramstore.wire.encode_hello`).
-        Peeking that one byte tells the two servers apart without ever
-        desynchronising either stream.
-        """
+    def _open_binary(self) -> None:
+        """Send the magic line and require the server's framed hello."""
         self._socket.sendall(WIRE_MAGIC + b"\n")
-        peeked = self._reader.peek(1)
-        if not peeked:
-            raise ConnectionResetError("server closed during protocol negotiation")
-        if peeked[:1] == b"{":
-            # Legacy JSON server: it answered the magic with an error
-            # line.  Consume it and fall back (or fail, if binary was
-            # explicitly required).
-            self._reader.readline()
-            if self.protocol == "binary":
-                raise StoreConnectionError(
-                    f"store server {self.host}:{self.port} does not speak the "
-                    "binary protocol (protocol='binary' was required)"
-                )
-            self.negotiated_protocol = "json"
-            return
         hello = read_message(self._reader, MAX_REQUEST_BYTES)
+        if hello is None:
+            raise ConnectionResetError("server closed during the binary hello")
         if not isinstance(hello, dict) or hello.get("protocol") != "binary":
             raise StoreConnectionError(
                 f"store server {self.host}:{self.port} sent a malformed "
                 f"binary hello: {hello!r}"
             )
-        self.negotiated_protocol = "binary"
 
     def _call(self, request: Dict[str, Any]) -> Dict[str, Any]:
         if self._closed:
@@ -993,7 +435,7 @@ class StoreClient(RemoteStore):
 
     def _exchange(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Send one request and read its response on the live connection."""
-        if self.negotiated_protocol == "binary":
+        if self.protocol == "binary":
             self._socket.sendall(encode_message(request))
             response = read_message(self._reader)
             if response is None:
@@ -1014,6 +456,3 @@ class StoreClient(RemoteStore):
     def close(self) -> None:
         self._closed = True
         self._drop()
-
-    def __enter__(self) -> "StoreClient":
-        return self

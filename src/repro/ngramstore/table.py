@@ -241,7 +241,7 @@ def _block_max_value(records: List[Record]) -> Any:
 
     Only ``int``/``float`` summaries are persisted — anything else (dicts,
     bools, mixed types) yields ``None``, which the top-k reader treats as
-    "unknown, never skip", exactly like a pre-summary table.
+    "unknown, never skip".
     """
     try:
         largest = max(value for _, value in records)
@@ -494,22 +494,21 @@ class Table:
     def _verify_checksum(self, entry: BlockHandle, block_index: int, payload: Any) -> None:
         """Check a block's stored bytes against its index CRC before decoding.
 
-        Legacy indexes carry ``checksum=None`` and are accepted as-is; a
-        mismatch on a checksummed block is unambiguous on-disk corruption,
-        reported with the partition/block identity the operator needs to
-        locate the damaged file.
+        A mismatch — or an index entry that lost its checksum — is
+        unambiguous on-disk corruption, reported with the partition/block
+        identity the operator needs to locate the damaged file; nothing is
+        ever served unverified.
         """
-        if entry.checksum is None:
-            return
         actual = block_checksum(payload)
         if actual == entry.checksum:
             return
         self.blocks_checksum_failed += 1
         partition = self.metadata.get("partition")
         where = f"partition {partition}, " if partition is not None else ""
+        stored = f"{entry.checksum:#010x}" if isinstance(entry.checksum, int) else "none"
         raise StoreError(
             f"checksum mismatch in block {block_index} ({where}{self.path!r}): "
-            f"stored {entry.checksum:#010x}, computed {actual:#010x} — "
+            f"stored {stored}, computed {actual:#010x} — "
             "the table file is corrupt"
         )
 
@@ -628,8 +627,8 @@ class Table:
         """Offer this table's candidates to a (possibly shared) top-k heap.
 
         Blocks whose persisted max-value summary cannot beat the heap floor
-        are skipped without being read or decoded; tables written before
-        the summary existed (``max_value is None``) are always scanned, so
+        are skipped without being read or decoded; blocks without a summary
+        (``max_value is None``: non-numeric values) are always scanned, so
         results match a full scan on any store.
         """
         self._check_open()

@@ -1,7 +1,7 @@
 """Process-wide metrics registry: counters, gauges and histograms.
 
 Before this module, every subsystem exposed telemetry through its own
-ad-hoc surface — :class:`~repro.ngramstore.server.ServerMetrics` kept raw
+ad-hoc surface — :class:`~repro.ngramstore.service.ServerMetrics` kept raw
 latency sample lists, the block cache its own ``CacheStats``, the store
 reader an ``io_stats()`` dict, the HTTP client a bare
 ``connections_opened`` integer — and none of them could be scraped,

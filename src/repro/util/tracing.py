@@ -98,7 +98,11 @@ class TraceContext:
 
     @classmethod
     def from_request(cls, request: Any) -> "TraceContext":
-        """Adopt the request's trace ID, or mint one for untraced requests."""
+        """Adopt the request's trace ID, or mint one for untraced requests.
+
+        A malformed ``trace`` field counts as untraced: tracing is
+        telemetry and must never fail a query.
+        """
         return cls(trace_id_of(request))
 
     @contextmanager

@@ -665,40 +665,6 @@ class TestTopKBlockSkipping:
             stats = store.cache_stats()
             assert stats.misses == 1
 
-    def test_old_format_index_without_summaries_still_served(self, tmp_path, monkeypatch):
-        """Tables written before max_value existed read fine, just unskipped."""
-        import repro.ngramstore.format as format_module
-        import repro.ngramstore.table as table_module
-
-        real_write_index = format_module.write_index
-
-        def legacy_write_index(handle, index):
-            # Plain 5-tuples, exactly what a pre-summary writer pickled —
-            # the read path must fill max_value from the NamedTuple default.
-            legacy = [tuple(entry)[:5] for entry in index]
-            return real_write_index(handle, legacy)
-
-        # TableWriter resolves write_index from its own module namespace.
-        monkeypatch.setattr(table_module, "write_index", legacy_write_index)
-        records = skewed_records(count=512)
-        path = str(tmp_path / "legacy.ngt")
-        with TableWriter(path, records_per_block=32) as writer:
-            writer.extend(records)
-        monkeypatch.undo()
-
-        with Table(path) as table:
-            assert all(entry.max_value is None for entry in table._index)
-            assert list(table) == records
-            for key, value in records[::41]:
-                assert table.get(key) == value
-            expected = sorted(records, key=lambda record: (-record[1], record[0]))[:7]
-            assert table.top_k(7) == expected
-            from repro.ngramstore import TopKAccumulator
-
-            accumulator = TopKAccumulator(7)
-            table.top_k_into(accumulator)
-            assert accumulator.blocks_skipped == 0  # no summaries -> no skipping
-
     def test_accumulator_tie_break_matches_nsmallest(self):
         from repro.ngramstore import TopKAccumulator
 
@@ -787,42 +753,6 @@ class TestBloomFilteredReads:
     def test_writer_rejects_negative_budget(self, tmp_path):
         with pytest.raises(StoreError, match="bloom_bits_per_key"):
             TableWriter(str(tmp_path / "t.ngt"), bloom_bits_per_key=-1)
-
-    def test_legacy_index_without_blooms_still_served(self, tmp_path, monkeypatch, records):
-        """Tables written before blooms existed read byte-identically."""
-        import repro.ngramstore.format as format_module
-        import repro.ngramstore.table as table_module
-
-        real_write_index = format_module.write_index
-
-        def legacy_write_index(handle, index):
-            # Plain 6-tuples, exactly what a pre-bloom writer pickled — the
-            # read path must fill bloom from the NamedTuple default.
-            legacy = [tuple(entry)[:6] for entry in index]
-            return real_write_index(handle, legacy)
-
-        monkeypatch.setattr(table_module, "write_index", legacy_write_index)
-        legacy_path = str(tmp_path / "legacy.ngt")
-        with TableWriter(legacy_path, records_per_block=32) as writer:
-            writer.extend(records)
-        monkeypatch.undo()
-        modern_path = str(tmp_path / "modern.ngt")
-        with TableWriter(modern_path, records_per_block=32) as writer:
-            writer.extend(records)
-
-        with Table(legacy_path) as legacy, Table(modern_path) as modern:
-            assert all(entry.bloom is None for entry in legacy._index)
-            # max_value summaries (the older index addition) still present.
-            assert [e.max_value for e in legacy._index] == [
-                e.max_value for e in modern._index
-            ]
-            assert list(legacy) == list(modern) == records
-            probes = [key for key, _ in records[::13]] + [(999, 999), (0,)]
-            assert [legacy.get(key) for key in probes] == [
-                modern.get(key) for key in probes
-            ]
-            assert legacy.top_k(9) == modern.top_k(9)
-            assert legacy.bloom_rejections == 0  # nothing to filter with
 
 
 class TestMmapReads:
@@ -983,25 +913,48 @@ class TestBlockChecksums:
                     assert store.get(key) == value
                     break
 
-    def test_legacy_index_without_checksums_still_served(
-        self, tmp_path, monkeypatch, records
-    ):
-        """Pre-checksum tables (7-tuple index entries) load and read fine."""
+    def _write_with_index(self, tmp_path, monkeypatch, records, rewrite, **kwargs):
+        """A table whose index entries went through ``rewrite`` before pickling."""
         import repro.ngramstore.format as format_module
         import repro.ngramstore.table as table_module
 
         real_write_index = format_module.write_index
-
-        def legacy_write_index(handle, index):
-            legacy = [tuple(entry)[:7] for entry in index]
-            return real_write_index(handle, legacy)
-
-        monkeypatch.setattr(table_module, "write_index", legacy_write_index)
-        path = self.write_table(tmp_path, records)
+        # TableWriter resolves write_index from its own module namespace.
+        monkeypatch.setattr(
+            table_module,
+            "write_index",
+            lambda handle, index: real_write_index(
+                handle, [rewrite(tuple(entry)) for entry in index]
+            ),
+        )
+        path = self.write_table(tmp_path, records, **kwargs)
         monkeypatch.undo()
+        return path
+
+    @pytest.mark.parametrize("fields", [5, 6, 7])
+    def test_short_index_entries_are_refused(self, tmp_path, monkeypatch, records, fields):
+        """Index entries of the pre-summary/-bloom/-checksum formats do not load."""
+        path = self._write_with_index(
+            tmp_path, monkeypatch, records, lambda entry: entry[:fields]
+        )
+        with pytest.raises(StoreError, match="malformed table block index"):
+            Table(path)
+
+    def test_index_without_checksums_is_refused(self, tmp_path, monkeypatch, records):
+        """A v2 table whose index lost its CRCs is never served unverified."""
+        path = self._write_with_index(
+            tmp_path,
+            monkeypatch,
+            records,
+            lambda entry: entry[:7] + (None,),
+            metadata={"partition": 3},
+        )
         with Table(path) as table:
-            assert all(entry.checksum is None for entry in table._index)
-            assert list(table) == records
-            for key, value in records[::43]:
-                assert table.get(key) == value
-            assert table.blocks_checksum_failed == 0
+            with pytest.raises(
+                StoreError, match=r"checksum mismatch in block 0 \(partition 3, .*stored none"
+            ):
+                table.get(records[0][0])
+            with pytest.raises(StoreError, match="checksum mismatch in block 0"):
+                list(table)
+            assert table.blocks_checksum_failed == 2
+

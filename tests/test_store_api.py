@@ -1,20 +1,31 @@
 """StoreAPI conformance suite: every implementation answers identically.
 
-One shared fixture store (with a persisted vocabulary), five
+One shared fixture store (with a persisted vocabulary), seven
 implementations of :class:`repro.ngramstore.api.StoreAPI` — the local
-:class:`NGramStore`, the socket :class:`StoreClient`, a two-server
-:class:`ReplicaPool`, a three-shard :class:`ShardRouter`, and the
-:class:`HttpStoreClient` — and one parametrized set of assertions
-comparing each against reference answers computed directly from the local
-store.  A topology that drifts from the local semantics (a shard router
-mis-merging top-k, a transport mangling a value) fails here by name.
+:class:`NGramStore`, a three-generation LSM :class:`GenerationView`, three
+:class:`ShardView` slices concatenated in-process, the socket
+:class:`StoreClient`, a two-server :class:`ReplicaPool`, a three-shard
+:class:`ShardRouter`, and the :class:`HttpStoreClient` — and one
+parametrized set of assertions comparing each against reference answers
+computed directly from the local store.  The three local ones implement
+only the kernel, so they hold the operations derived in the base class to
+the same answers; a topology that drifts from the local semantics (a shard
+router mis-merging top-k, a transport mangling a value) fails here by name.
 
 Also home to the ``repro query --server/--url`` end-to-end tests: the CLI
 must render byte-identical output whether it opens the store directory or
 talks to a remote server.
 """
 
+import json
+import os
 import random
+import socket
+import subprocess
+import sys
+import urllib.error
+import urllib.request
+from itertools import chain
 
 import pytest
 
@@ -23,7 +34,9 @@ from repro.config import ServerConfig, StoreConfig
 from repro.corpus.vocabulary import Vocabulary
 from repro.ngramstore import (
     BlockCache,
+    GenerationView,
     HttpStoreClient,
+    LSMStore,
     NGramRecord,
     NGramStore,
     NGramStoreHTTPServer,
@@ -32,13 +45,18 @@ from repro.ngramstore import (
     ReplicaPool,
     ShardRouter,
     ShardView,
+    StoreAPI,
     StoreClient,
     build_store,
+    open_store_auto,
 )
+from repro.ngramstore.api import OPERATIONS
 
 MAX_TERM = 50
 
-IMPLEMENTATIONS = ("local", "socket", "replicas", "sharded", "http")
+IMPLEMENTATIONS = ("local", "lsm", "shard_views", "socket", "replicas", "sharded", "http")
+
+_MISSING = object()
 
 
 def make_records(count=600, seed=13, max_term=MAX_TERM, max_len=4):
@@ -72,6 +90,67 @@ def store_dir(tmp_path_factory):
         metadata={"origin": "test_store_api"},
     )
     return directory
+
+
+@pytest.fixture(scope="module")
+def lsm_dir(tmp_path_factory):
+    """The fixture records as three generations with overlapping keys.
+
+    Every count of 3 or more is split over all three generations (smaller
+    ones live in one), so each answer is a sum the view has to get right.
+    """
+    directory = str(tmp_path_factory.mktemp("api-lsm") / "lsm")
+    lsm = LSMStore.init(
+        directory, store=StoreConfig(num_partitions=3, records_per_block=32)
+    )
+    generations = [[], [], []]
+    for index, (key, value) in enumerate(make_records()):
+        if value < 3:
+            generations[index % 3].append((key, value))
+            continue
+        shares = (value // 3, value // 3, value - 2 * (value // 3))
+        for generation, share in zip(generations, shares):
+            generation.append((key, share))
+    for records in generations:
+        lsm.ingest_records(records, vocabulary=_test_vocabulary())
+    return directory
+
+
+class Concatenation(StoreAPI):
+    """Ordered, disjoint parts read as one store — the kernel and nothing else."""
+
+    def __init__(self, parts):
+        self.parts = parts
+
+    def get(self, ngram, default=None):
+        for part in self.parts:
+            value = part.get(ngram, _MISSING)
+            if value is not _MISSING:
+                return value
+        return default
+
+    def scan(self, start=None, stop=None):
+        return chain.from_iterable(part.scan(start, stop) for part in self.parts)
+
+    def top_k_into(self, accumulator):
+        for part in self.parts:
+            part.top_k_into(accumulator)
+
+    def stats(self):
+        per_part = [part.stats() for part in self.parts]
+        return {
+            **per_part[0],
+            "num_records": sum(stats["num_records"] for stats in per_part),
+            "num_partitions": sum(stats["num_partitions"] for stats in per_part),
+        }
+
+    @property
+    def vocabulary(self):
+        return self.parts[0].vocabulary
+
+    def close(self):
+        for part in self.parts:
+            part.close()
 
 
 @pytest.fixture(scope="module")
@@ -171,10 +250,22 @@ def topology(store_dir, extra_store_dir):
 
 
 @pytest.fixture(params=IMPLEMENTATIONS)
-def api(request, store_dir, topology):
-    name = request.param
+def implementation(request):
+    return request.param
+
+
+@pytest.fixture()
+def api(implementation, store_dir, lsm_dir, topology):
+    name = implementation
     if name == "local":
         instance = NGramStore.open(store_dir)
+    elif name == "lsm":
+        instance = open_store_auto(lsm_dir)
+        assert isinstance(instance, GenerationView) and len(instance.stores) == 3
+    elif name == "shard_views":
+        instance = Concatenation(
+            [ShardView(NGramStore.open(store_dir), index, 3) for index in range(3)]
+        )
     elif name == "socket":
         instance = StoreClient(*topology["socket"])
     elif name == "replicas":
@@ -227,10 +318,16 @@ class TestConformance:
         assert api.top_k(12) == reference["top_frequency"]
         assert api.top_k(12, order="key") == reference["top_key"]
 
-    def test_stats_core_fields(self, api, reference):
+    def test_stats_core_fields(self, api, implementation, reference):
         stats = api.stats()
-        for field in ("store_dir", "num_records", "codec", "has_vocabulary", "metadata"):
+        fields = ("store_dir", "num_records", "codec", "has_vocabulary", "metadata")
+        if implementation == "lsm":
+            # Another directory, and a key is one record per generation holding it.
+            fields = ("codec", "has_vocabulary")
+            assert stats["num_records"] > reference["stats"]["num_records"]
+        for field in fields:
             assert stats[field] == reference["stats"][field]
+        assert len(api) == stats["num_records"]
 
     def test_ping(self, api):
         assert api.ping() is True
@@ -335,6 +432,143 @@ class TestConformance:
         finally:
             if extra is not None:
                 extra.close()
+
+
+#: Operations every local composition must inherit, not re-implement.
+DERIVED_OPERATIONS = (
+    "prefix",
+    "top_k",
+    "multi_get",
+    "multi_prefix",
+    "complete",
+    "translate_terms",
+    "render_ngrams",
+    "get_terms",
+    "multi_get_terms",
+    "prefix_terms",
+    "top_k_terms",
+    "complete_terms",
+)
+
+_IMPORT_HTTP_WITHOUT_SERVER = """
+import os, sys, types
+# Stub the two package __init__ modules (they import every submodule), so
+# only the imports http.py itself asks for are executed.
+for name, path in (("repro", sys.argv[1]), ("repro.ngramstore", os.path.join(sys.argv[1], "ngramstore"))):
+    package = types.ModuleType(name)
+    package.__path__ = [path]
+    sys.modules[name] = package
+import repro.ngramstore.http
+assert "repro.ngramstore.service" in sys.modules
+assert "repro.ngramstore.server" not in sys.modules
+"""
+
+
+class TestArchitecture:
+    """One definition per operation, one serving core under both transports."""
+
+    @pytest.mark.parametrize("implementation", [NGramStore, GenerationView, ShardView])
+    def test_local_implementations_are_kernel_only(self, implementation):
+        redefined = [name for name in DERIVED_OPERATIONS if name in vars(implementation)]
+        assert redefined == []
+        for name in ("get", "scan", "stats", "close"):
+            assert name in vars(implementation)
+
+    def test_http_transport_does_not_import_the_socket_transport(self):
+        import repro
+
+        completed = subprocess.run(
+            [sys.executable, "-c", _IMPORT_HTTP_WITHOUT_SERVER, os.path.dirname(repro.__file__)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+
+
+class TestTransportsShareOneExecute:
+    """Both front-ends run ``StoreService.execute``: same answers, same counts."""
+
+    def requests(self, reference):
+        key = sorted(reference["expected"])[3]
+        terms = [term_for(term_id) for term_id in key]
+        by_operation = {
+            "get": {"op": "get", "key": list(key)},
+            "multi_get": {"op": "multi_get", "keys": [list(key), [MAX_TERM + 1000]]},
+            "prefix": {"op": "prefix", "terms": terms[:1], "limit": 4},
+            "multi_prefix": {"op": "multi_prefix", "keys": [list(key[:1])], "limit": 2},
+            "top_k": {"op": "top_k", "k": 3, "surface": True},
+            "complete": {"op": "complete", "key": list(key[:1]), "k": 3},
+            "compare": {"op": "compare", "key": list(key)},
+            "translate": {"op": "translate", "terms": [terms, ["no-such-term"]]},
+            "render": {"op": "render", "ngrams": [list(key)]},
+            "stats": {"op": "stats"},
+            "server_stats": {"op": "server_stats"},
+            "metrics": {"op": "metrics"},
+            "ping": {"op": "ping"},
+        }
+        assert set(by_operation) == set(OPERATIONS)
+        bodies = [json.dumps(by_operation[operation]).encode() for operation in OPERATIONS]
+        return bodies + [
+            b"this is not json",
+            b"[1, 2, 3]",
+            json.dumps({"op": "frobnicate"}).encode(),
+            json.dumps({"op": "get", "ngram": list(key)}).encode(),
+        ]
+
+    @staticmethod
+    def comparable(response):
+        """Drop what legitimately differs: timings, and who counts connections."""
+        if "uptime_s" in response:  # server_stats
+            return sorted(set(response) - {"active_connections"})
+        if "text" in response:  # metrics
+            return sorted(response)
+        return response
+
+    @staticmethod
+    def operation_counts(stats):
+        return {
+            operation: (entry["count"], entry["errors"])
+            for operation, entry in stats["operations"].items()
+        }
+
+    def test_identical_answers_and_operation_counts(
+        self, store_dir, extra_store_dir, reference
+    ):
+        config = ServerConfig(port=0, extra_store=extra_store_dir)
+        bodies = self.requests(reference)
+        with NGramStoreServer(store_dir, config=config) as socket_server:
+            with socket.create_connection((socket_server.host, socket_server.port)) as raw:
+                reader = raw.makefile("rb")
+                socket_answers = []
+                for body in bodies:
+                    raw.sendall(body + b"\n")
+                    socket_answers.append(json.loads(reader.readline()))
+            socket_counts = self.operation_counts(socket_server.service.server_stats())
+        with NGramStoreHTTPServer(store_dir, config=config) as http_server:
+            url = f"http://{http_server.host}:{http_server.port}/query"
+            http_answers = []
+            for body in bodies:
+                try:
+                    with urllib.request.urlopen(
+                        urllib.request.Request(url, data=body, method="POST")
+                    ) as reply:
+                        status, answer = reply.status, json.loads(reply.read())
+                except urllib.error.HTTPError as error:
+                    status, answer = error.code, json.loads(error.read())
+                assert status == (200 if answer["ok"] else 400)
+                http_answers.append(answer)
+            http_counts = self.operation_counts(http_server.service.server_stats())
+        assert [answer["ok"] for answer in socket_answers] == [True] * len(OPERATIONS) + [
+            False
+        ] * 4
+        assert "key must be a JSON array" in socket_answers[-1]["error"]
+        assert [self.comparable(answer) for answer in http_answers] == [
+            self.comparable(answer) for answer in socket_answers
+        ]
+        assert http_counts == socket_counts
+        assert socket_counts["invalid"] == (3, 3)
+        assert socket_counts["get"] == (2, 1)
 
 
 class TestQueryCLIRemote:

@@ -153,13 +153,11 @@ class TestPostQuery:
         assert body["found"] == [True, False]
         assert body["values"] == [expected[key], None]
 
-    def test_legacy_field_spellings_flagged(self, base_url, expected):
+    def test_legacy_field_spellings_are_ordinary_errors(self, base_url, expected):
         key = sorted(expected)[7]
         status, body = self.post(base_url, {"op": "get", "ngram": list(key)})
-        assert status == 200
-        assert body["value"] == expected[key]
-        assert "deprecated" in body
-        assert "'key'" in body["deprecated"]
+        assert status == 400
+        assert "key must be a JSON array" in body["error"]
 
     def test_errors_are_400_not_dead_connections(self, base_url):
         status, body = self.post(base_url, {"op": "frobnicate"})
@@ -230,6 +228,19 @@ class TestHttpStoreClient:
             assert client.top_k(5)
             assert client.ping()
             assert client.connections_opened == 1
+
+    def test_connections_counted_per_connection_not_per_request(self, store_dir, expected):
+        """``connections_accepted`` counts sockets, like the socket server does."""
+        config = ServerConfig(port=0, protocol="http")
+        with NGramStoreHTTPServer(store_dir, config=config) as running:
+            url = f"http://{running.host}:{running.port}"
+            with HttpStoreClient(url) as first:
+                for key in sorted(expected)[:7]:
+                    assert first.get(key) == expected[key]
+                assert first.connections_opened == 1
+                assert first.server_stats()["connections_accepted"] == 1
+                with HttpStoreClient(url) as second:
+                    assert second.server_stats()["connections_accepted"] == 2
 
     def test_stale_pooled_connection_retried_without_burning_budget(
         self, base_url, expected

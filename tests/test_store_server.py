@@ -23,7 +23,8 @@ from repro.ngramstore import (
     StoreClient,
     build_store,
 )
-from repro.ngramstore.server import ServerMetrics, percentile
+from repro.ngramstore.server import percentile
+from repro.ngramstore.service import ServerMetrics
 
 
 def make_records(count=600, seed=13, max_term=50, max_len=4):
@@ -103,13 +104,17 @@ class TestProtocol:
             with pytest.raises(StoreError, match="unknown op"):
                 client._call({"op": "frobnicate"})
             with pytest.raises(StoreError, match="JSON array"):
-                client._call({"op": "get", "ngram": "not-a-list"})
+                client._call({"op": "get", "key": "not-a-list"})
             with pytest.raises(StoreError, match="k must be"):
                 client.top_k(0)
             with pytest.raises(StoreError, match="order"):
                 client.top_k(3, order="bogus")
             with pytest.raises(StoreError, match="limit"):
-                client._call({"op": "prefix", "tokens": [1], "limit": -4})
+                client._call({"op": "prefix", "key": [1], "limit": -4})
+            # The pre-redesign spellings are no longer mapped onto "key".
+            for request in ({"op": "get", "ngram": [1]}, {"op": "prefix", "tokens": [1]}):
+                with pytest.raises(StoreError, match="key must be a JSON array"):
+                    client._call(request)
             # The connection survived every error above.
             assert client.ping()
 
@@ -157,7 +162,7 @@ class TestProtocol:
                 client.prefix((term,), limit=len(full) + 5)
 
     def test_top_k_k_capped(self, server):
-        from repro.ngramstore.server import MAX_TOP_K
+        from repro.ngramstore.api import MAX_TOP_K
 
         with StoreClient(server.host, server.port) as client:
             with pytest.raises(StoreError, match="must be <="):
@@ -205,7 +210,7 @@ class TestConcurrency:
             with ThreadPoolExecutor(max_workers=6) as pool:
                 results = list(pool.map(query, range(6)))
             assert all(result == reference for result in results)
-            assert server.metrics.snapshot()["connections_accepted"] == 6
+            assert server.service.metrics.snapshot()["connections_accepted"] == 6
 
     def test_graceful_shutdown(self, store_dir):
         server = NGramStoreServer(store_dir, config=ServerConfig(port=0))
@@ -227,7 +232,7 @@ class TestConcurrency:
         # Idempotent close, and the underlying store is closed too.
         server.close()
         with pytest.raises(StoreError, match="closed"):
-            server.store.get((1,))
+            server.service.store.get((1,))
 
     def test_double_start_rejected(self, store_dir):
         with NGramStoreServer(store_dir, config=ServerConfig(port=0)) as server:
@@ -495,31 +500,9 @@ class TestServeCLI:
         assert report["server"]["cache"]["hits"] > 0
 
 
-class TestCompatShims:
-    """The pre-redesign surfaces still work — with a warning, not a break."""
-
-    def test_legacy_request_fields_served_with_note(self, server, expected):
-        key = sorted(expected)[0]
-        with StoreClient(server.host, server.port) as client:
-            response = client._call({"op": "get", "ngram": list(key)})
-            assert response["value"] == expected[key]
-            assert "'ngram' is deprecated" in response["deprecated"]
-            response = client._call({"op": "prefix", "tokens": list(key[:1]), "limit": 1})
-            assert len(response["records"]) == 1
-            assert "'tokens' is deprecated" in response["deprecated"]
-            # Canonical spellings carry no note.
-            assert "deprecated" not in client._call({"op": "get", "key": list(key)})
-
-    def test_timeout_kwarg_deprecated_but_honoured(self, server):
-        with pytest.warns(DeprecationWarning, match="connect_timeout"):
-            client = StoreClient(server.host, server.port, timeout=7.5)
-        with client:
-            assert client.connect_timeout == 7.5
-            assert client.read_timeout == 7.5
-            assert client.ping()
-
+class TestRecordShape:
     def test_records_unpack_like_plain_tuples(self, server, store_dir):
-        """Old callers that unpack (key, value) tuples keep working."""
+        """Records unpack and compare like plain (key, value) tuples."""
         with NGramStore.open(store_dir) as direct, StoreClient(server.host, server.port) as client:
             for source in (direct, client):
                 (record,) = source.top_k(1)
@@ -593,16 +576,13 @@ class TestClientResilience:
 
 
 class TestBinaryProtocol:
-    """Negotiation, the protocol matrix, and hostile binary frames."""
+    """The protocol matrix and hostile binary frames."""
 
-    @pytest.mark.parametrize("protocol", ["auto", "binary", "json"])
+    @pytest.mark.parametrize("protocol", ["binary", "json"])
     def test_protocol_matrix_answers_identically(self, server, store_dir, expected, protocol):
         """The acceptance bar: results byte-identical across protocols."""
         with NGramStore.open(store_dir) as direct:
             with StoreClient(server.host, server.port, protocol=protocol) as client:
-                assert client.negotiated_protocol == (
-                    "json" if protocol == "json" else "binary"
-                )
                 keys = sorted(expected)[::23] + [(9999,)]
                 assert [client.get(key) for key in keys] == [
                     direct.get(key) for key in keys
@@ -618,19 +598,6 @@ class TestBinaryProtocol:
                 assert client.top_k(10, order="key") == direct.top_k(10, order="key")
                 assert client.stats() == direct.stats()
                 assert client.ping()
-
-    def test_auto_client_falls_back_on_json_only_server(self, store_dir, expected):
-        """Old deployments pin binary=False; new clients must still work."""
-        with NGramStoreServer(
-            store_dir, config=ServerConfig(port=0, binary=False)
-        ) as legacy:
-            key = sorted(expected)[0]
-            with StoreClient(legacy.host, legacy.port) as client:
-                assert client.negotiated_protocol == "json"
-                assert client.get(key) == expected[key]
-                assert client.ping()
-            with pytest.raises(StoreConnectionError, match="binary protocol"):
-                StoreClient(legacy.host, legacy.port, protocol="binary")
 
     def test_binary_errors_answered_in_stream(self, server):
         """Decodable-but-invalid requests keep the connection alive."""
@@ -675,7 +642,7 @@ class TestBinaryProtocol:
             assert "exceeds" in error["error"]
 
     def test_binary_client_reconnects_after_drop(self, server, expected):
-        """The resilience path re-negotiates the protocol on reconnect."""
+        """The resilience path re-opens the binary framing on reconnect."""
         key = sorted(expected)[0]
         with StoreClient(server.host, server.port, protocol="binary") as client:
             assert client.get(key) == expected[key]
@@ -684,7 +651,6 @@ class TestBinaryProtocol:
             for connection in connections:
                 connection.shutdown(socket.SHUT_RDWR)
             assert client.get(key) == expected[key]
-            assert client.negotiated_protocol == "binary"
 
     def test_multi_prefix_validation(self, server):
         with StoreClient(server.host, server.port) as client:
@@ -779,7 +745,6 @@ class TestObservability:
             with StoreClient(
                 running.host, running.port, protocol=protocol
             ) as client:
-                assert client.negotiated_protocol == protocol
                 client.get((1, 2))
                 trace_id = client.last_trace_id
         assert trace_id
