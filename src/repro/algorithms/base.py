@@ -19,7 +19,7 @@ from typing import Any, Iterable, Iterator, List, Optional, Tuple
 from repro.algorithms.doc_split import split_sequence_at_infrequent_terms, unigram_frequencies
 from repro.config import ClusterConfig, ExecutionConfig, NGramJobConfig, StoreConfig
 from repro.exceptions import ConfigurationError
-from repro.mapreduce.backends import make_runner
+from repro.mapreduce.process import make_runner
 from repro.mapreduce.cluster import ClusterCostModel
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.dataset import Dataset

@@ -114,7 +114,7 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="worker count for the threads/processes runners",
+        help="worker processes for --runner processes (default: the CPU count)",
     )
     parser.add_argument(
         "--spill-threshold",
@@ -191,7 +191,7 @@ def _execution_from_args(args: argparse.Namespace) -> Optional[ExecutionConfig]:
     """Build an ExecutionConfig from CLI flags (None for the plain default)."""
     if args.workers is not None and args.runner == "local":
         # Silently running sequentially would corrupt any speed-up comparison.
-        raise SystemExit("error: --workers requires --runner threads or processes")
+        raise SystemExit("error: --workers requires --runner processes")
     if (
         args.runner == "local"
         and args.workers is None

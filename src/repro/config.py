@@ -108,8 +108,9 @@ class NGramJobConfig:
         return replace(self, **changes)  # type: ignore[arg-type]
 
 
-#: Names of the MapReduce execution backends (see ``repro.mapreduce.backends``).
-RUNNER_NAMES = ("local", "threads", "processes")
+#: Names of the MapReduce execution backends (see
+#: ``repro.mapreduce.process.make_runner``).
+RUNNER_NAMES = ("local", "processes")
 
 #: Where job outputs (and streamed job inputs) are materialised: ``memory``
 #: keeps record lists in RAM, ``disk`` writes sharded on-disk datasets (see
@@ -181,16 +182,19 @@ class ExecutionConfig:
     Attributes
     ----------
     runner:
-        Execution backend: ``"local"`` (sequential, the default),
-        ``"threads"`` (thread-pool tasks) or ``"processes"`` (multi-core
-        worker processes; job components must pickle).
+        Execution backend: ``"local"`` (sequential, the default) or
+        ``"processes"`` (multi-core worker processes; job components must
+        pickle).  Both run the same loop and the same task code; they
+        differ in where a task runs and so in how map output reaches the
+        shuffle — emitted straight into it, or handed over as run files.
     max_workers:
-        Worker count for the concurrent backends; ``None`` uses each
-        backend's default (4 threads, or the CPU count for processes).
+        Worker count for the ``processes`` backend; ``None`` uses the CPU
+        count.  Ignored by ``local``.
     spill_threshold_bytes:
         In-memory byte budget of the shuffle; past it, sorted runs of map
         output spill to disk and reducers stream from a k-way merge.
-        ``None`` keeps the whole shuffle in memory.
+        ``None`` sets no budget: nothing spills (a ``processes`` map task
+        still hands its output over as run files, which is not a spill).
     spill_threshold_records:
         Record-count alternative to the byte budget (bytes in the compact
         encoding underestimate Python object overhead ~50x); the shuffle

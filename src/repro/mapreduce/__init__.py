@@ -15,31 +15,39 @@ on a single machine.  It reproduces the quantities the paper measures:
 Execution backends
 ------------------
 
-Three interchangeable runners execute jobs, selected by name through
+One run loop (:meth:`LocalJobRunner.run`) drives every job: it submits the
+tasks of each phase to an executor and folds their results in task order.
+Two runners supply the executor, selected by name through
 :func:`make_runner` / :class:`~repro.config.ExecutionConfig` (or the CLI's
 ``--runner`` flag) and producing identical outputs and counter totals:
 
-* :class:`LocalJobRunner` (``"local"``) — sequential, the default;
-* :class:`ThreadPoolJobRunner` (``"threads"``) — concurrent tasks in a
-  thread pool (GIL-bound, demonstrates the task model is parallelisable);
+* :class:`LocalJobRunner` (``"local"``) — every task runs inline, in the
+  calling thread; the default and the reference for correctness;
 * :class:`ProcessPoolJobRunner` (``"processes"``) — tasks fanned out over
   worker processes for real multi-core speed-up.  Jobs must be picklable:
   use module-level mapper/reducer classes and ``functools.partial`` (not
   lambdas) as factories.
 
+A map task always emits into a shuffle: the job's own when it runs inline,
+a worker-local one whose sorted run files the job's shuffle adopts when it
+runs in a worker — as a Hadoop map task leaves its output behind as local
+runs.  A task failure surfaces the same way on both: a
+:class:`~repro.exceptions.ReproError` unchanged, anything else as a
+:class:`~repro.exceptions.MapReduceError` naming job, phase and task.
+
 Spill semantics
 ---------------
 
-Every runner shuffles through
+Every job shuffles through
 :class:`~repro.mapreduce.shuffle.ExternalShuffle`.  With a
 ``spill_threshold_bytes`` budget configured, map output past the budget is
 sorted and spilled as varint-framed runs to temp files, and each reducer
 streams its partition from a k-way ``heapq.merge`` of those runs — the
 shuffle's memory ceiling then stays at the budget regardless of input size,
 and results are byte-identical to the in-memory path.  Runs that never hit
-the budget (or run with the default ``None``) stay entirely in memory and
-additionally report no spill counters, so existing measurements are
-unchanged.
+the budget (or run with the default ``None``) report no spill counters on
+either backend: the run files a worker's map task hands over are the
+transport, not a spill.
 """
 
 from repro.mapreduce.counters import CounterGroup, Counters
@@ -62,9 +70,7 @@ from repro.mapreduce.job import (
     SortComparator,
 )
 from repro.mapreduce.runner import JobResult, LocalJobRunner
-from repro.mapreduce.parallel import ThreadPoolJobRunner
-from repro.mapreduce.process import ProcessPoolJobRunner
-from repro.mapreduce.backends import RUNNER_BACKENDS, make_runner
+from repro.mapreduce.process import ProcessPoolJobRunner, make_runner
 from repro.mapreduce.shuffle import ExternalShuffle, PartitionInput
 from repro.mapreduce.pipeline import JobPipeline, PipelineResult
 from repro.mapreduce.cache import DistributedCache
@@ -93,11 +99,9 @@ __all__ = [
     "PipelineResult",
     "ProcessPoolJobRunner",
     "Reducer",
-    "RUNNER_BACKENDS",
     "Shard",
     "SimulatedCluster",
     "SortComparator",
-    "ThreadPoolJobRunner",
     "as_dataset",
     "make_runner",
 ]

@@ -3,14 +3,15 @@
 A context exposes ``emit`` and the task's :class:`~repro.mapreduce.counters.Counters`
 plus read-only access to the job-wide :class:`~repro.mapreduce.cache.DistributedCache`.
 
-Emissions either buffer in the context (drained by the runner) or stream
-through a *sink* — any object with ``append(key, value)``.  Sinks are how
+Emissions stream through a *sink* — any object with ``append(key, value)``
+— or, for a context built without one (probes, tests), buffer in the
+context until drained.  The runner always supplies a sink; sinks are how
 the engine keeps task output off the heap: reduce output streams into shard
 files, combiner-less map output straight into the shuffle, and map output
 with a combiner into the bounded
 :class:`~repro.mapreduce.shuffle.CombineBuffer`.  :class:`CountingSink` is
 the shared adapter that forwards emissions to a callable while keeping the
-record/byte accounting every runner reports.
+record/byte accounting the runner reports.
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ class CountingSink:
 class TaskContext:
     """Execution context handed to user map/reduce code.
 
-    Without a sink, the context buffers emitted records in :attr:`output`
-    and the runner drains them (shuffling for map output, collecting for
-    reduce output).  With a ``sink`` — any object with an
-    ``append(key, value)`` method — every emission streams straight into it
-    (a shard file, the shuffle), so the task never materialises its output.
+    With a ``sink`` — any object with an ``append(key, value)`` method —
+    every emission streams straight into it (a shard file, the shuffle), so
+    the task never materialises its output; every task the runner executes
+    has one.  Without a sink, the context buffers emitted records in
+    :attr:`output` for the caller to :meth:`drain` (running a mapper by
+    hand, as probes and tests do).
     """
 
     def __init__(

@@ -1,17 +1,11 @@
-"""A multi-core job runner executing map and reduce tasks in worker processes.
+"""The multi-core backend: tasks in worker processes, selection by name.
 
-:class:`ProcessPoolJobRunner` is the backend that actually escapes the GIL:
-it serialises the :class:`~repro.mapreduce.job.JobSpec` (and the distributed
-cache) with pickle once per job, fans the independent tasks of each phase
-out over a :class:`concurrent.futures.ProcessPoolExecutor` and merges the
-per-task :class:`~repro.mapreduce.counters.Counters` and
-:class:`~repro.mapreduce.metrics.TaskMetrics` back in task order, so totals
-are deterministic and byte-identical to the sequential runner.
-
-Execution semantics (phase orchestration, streaming map results into the
-shuffle, the failure contract) come from the shared
-:class:`~repro.mapreduce.parallel.PooledJobRunner` template; this module
-adds only the process-boundary concerns:
+:class:`ProcessPoolJobRunner` is the backend that escapes the GIL.  The run
+loop, the task bodies and the failure contract are
+:class:`~repro.mapreduce.runner.LocalJobRunner`'s, unchanged; this module
+decides only *which executor* runs the tasks (a
+:class:`concurrent.futures.ProcessPoolExecutor`) and *how a task crosses
+the process boundary*:
 
 * everything crossing the boundary must pickle.  Job components that do not
   (lambda factories, closures) are rejected up front with a
@@ -20,57 +14,42 @@ adds only the process-boundary concerns:
 * the job and cache are pickled once per run and the same bytes shipped to
   every task, keeping per-submit serialisation to a memcpy (tasks never
   publish to the cache; pipelines publish between jobs, in the parent);
-* with a spill threshold set, *map* workers run a worker-local partial
-  shuffle: emissions are partitioned and spilled as sorted runs inside the
-  parent shuffle's run directory (same budget, varint spill codec and
-  ``shard_codec`` stream compression), and only the run paths travel back
-  as a :class:`~repro.mapreduce.shuffle.MapTaskSpills` — map output never
-  crosses the process boundary as pickled record lists;
+* a map task emits into a worker-local shuffle rooted in the job shuffle's
+  run directory (same budget, varint spill codec and ``shard_codec`` stream
+  compression) and hands its whole output over as sorted run files — with
+  or without a spill budget, as a Hadoop map task does.  Only the run paths
+  travel back, as a :class:`~repro.mapreduce.shuffle.MapTaskSpills`; map
+  output never crosses the process boundary as pickled records;
 * likewise reduce workers receive only run *file paths* (see
   :class:`~repro.mapreduce.shuffle.PartitionInput`) and stream their
   partition from a fan-in-capped k-way merge, so neither the parent nor
-  any worker ever materialises a spilled partition.
+  any worker ever materialises a partition.
 
-Without a spill budget the backend keeps its historical fully-in-memory
-contract: map records are pickled back to the parent and counter sets stay
-identical to the sequential runner's.
+Counters are those of the sequential runner: the hand-off of a map task's
+output is not a spill, so without a budget the complete counter set is
+identical on both backends.
+
+:func:`make_runner` builds the runner an
+:class:`~repro.config.ExecutionConfig` names, which is how the CLI's
+``--runner`` / ``--spill-threshold`` flags and the experiment harness reach
+the engine.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import Executor, ProcessPoolExecutor
+from functools import partial
 from multiprocessing import get_context
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.config import ExecutionConfig
 from repro.exceptions import MapReduceError
 from repro.mapreduce.cache import DistributedCache
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobSpec
-from repro.mapreduce.metrics import TaskMetrics
-from repro.mapreduce.parallel import PooledJobRunner, TaskResult
-from repro.mapreduce.runner import LocalJobRunner
+from repro.mapreduce.runner import LocalJobRunner, TaskResult
 from repro.mapreduce.shuffle import ExternalShuffle, MapTaskSpills
-
-Record = Tuple[Any, Any]
-
-
-@dataclass(frozen=True)
-class MapSpillSpec:
-    """How a map worker runs its worker-local partial shuffle.
-
-    ``spill_dir`` is the parent shuffle's run directory: the worker's
-    shuffle creates its own unique subdirectory inside it, so the parent's
-    cleanup removes worker runs (including partial files left by a crashed
-    task) together with its own.
-    """
-
-    spill_dir: str
-    spill_threshold_bytes: Optional[int] = None
-    spill_threshold_records: Optional[int] = None
-    codec: str = "none"
 
 #: Job attributes probed (in order) when the job fails to pickle, paired
 #: with whether the attribute is a factory (called to learn the task class).
@@ -86,71 +65,42 @@ _JOB_COMPONENTS: Tuple[Tuple[str, bool], ...] = (
 def _run_task_in_worker(
     job_bytes: bytes,
     cache_bytes: bytes,
+    shuffle_options: Dict[str, Any],
     phase: str,
     task_index: int,
     task_input: Any,
     reduce_sink: Optional[Any] = None,
-    map_spill: Optional[MapSpillSpec] = None,
-) -> Tuple[Any, TaskMetrics, Counters]:
+) -> TaskResult:
     """Execute one map or reduce task inside a worker process.
 
-    Reuses the sequential runner's task implementations verbatim, so task
-    semantics cannot drift between backends.  With a
+    Runs the sequential runner's task implementations, so task semantics
+    cannot drift between backends.  With a
     :class:`~repro.mapreduce.dataset.ShardSink` the reduce output is framed
     to its shard file *in the worker* and only the shard description is
-    pickled back — output record lists never cross the process boundary.
-    With a :class:`MapSpillSpec` the same holds for map output: the task's
-    emissions flow (through the combine buffer, when the job has one) into
-    a worker-local :class:`~repro.mapreduce.shuffle.ExternalShuffle`, the
-    remainder is force-spilled when the task ends, and only the run paths
-    are pickled back.
+    pickled back.  A map task's emissions flow (through the combine buffer,
+    when the job has one) into a worker-local
+    :class:`~repro.mapreduce.shuffle.ExternalShuffle`; the remainder is
+    written out when the task ends and only the run paths are pickled back.
     """
     job: JobSpec = pickle.loads(job_bytes)
     cache: DistributedCache = pickle.loads(cache_bytes)
-    counters = Counters()
-    if phase == "map":
-        if map_spill is not None:
-            runner = LocalJobRunner(
-                cache=cache,
-                spill_threshold_bytes=map_spill.spill_threshold_bytes,
-                spill_threshold_records=map_spill.spill_threshold_records,
-            )
-            worker_shuffle = ExternalShuffle(
-                job.partitioner,
-                job.sort_comparator,
-                job.num_reducers,
-                spill_threshold_bytes=map_spill.spill_threshold_bytes,
-                spill_threshold_records=map_spill.spill_threshold_records,
-                spill_dir=map_spill.spill_dir,
-                codec=map_spill.codec,
-            )
-            try:
-                _, metrics = runner._run_map_task(
-                    job, task_index, task_input, counters, shuffle=worker_shuffle
-                )
-                worker_shuffle.finalize(spill_remainder=True)
-            except BaseException:
-                # Remove this task's partial runs right away; the parent's
-                # shuffle cleanup would catch them too, but a crashed task
-                # should not leave debris even transiently.
-                worker_shuffle.cleanup()
-                raise
-            spills = MapTaskSpills(
-                run_paths=tuple(worker_shuffle.run_paths()),
-                stats=worker_shuffle.stats,
-            )
-            return spills, metrics, counters
-        runner = LocalJobRunner(cache=cache)
-        records, metrics = runner._run_map_task(job, task_index, task_input, counters)
-        return records, metrics, counters
-    runner = LocalJobRunner(cache=cache)
-    outcome, metrics = runner._run_reduce_task(
-        job, task_index, task_input, counters, output_sink=reduce_sink
-    )
-    return outcome, metrics, counters
+    runner = LocalJobRunner(cache=cache, **shuffle_options)
+    if phase == "reduce":
+        return runner.execute_task(job, phase, task_index, task_input, reduce_sink)
+    shuffle = runner.new_shuffle(job)
+    try:
+        _, metrics, counters = runner.execute_task(job, phase, task_index, task_input, shuffle)
+        shuffle.finalize(spill_remainder=True)
+    except BaseException:
+        # Remove this task's partial runs right away; the parent's
+        # shuffle cleanup would catch them too, but a crashed task
+        # should not leave debris even transiently.
+        shuffle.cleanup()
+        raise
+    return MapTaskSpills(tuple(shuffle.run_paths()), shuffle.stats), metrics, counters
 
 
-class ProcessPoolJobRunner(PooledJobRunner):
+class ProcessPoolJobRunner(LocalJobRunner):
     """Drop-in replacement for :class:`LocalJobRunner` using worker processes.
 
     Parameters
@@ -160,48 +110,23 @@ class ProcessPoolJobRunner(PooledJobRunner):
     mp_context:
         Optional multiprocessing start method (``"fork"``, ``"spawn"``,
         ``"forkserver"``); ``None`` uses the platform default.
+    **runner_options:
+        Every :class:`LocalJobRunner` parameter, unchanged.
     """
 
     def __init__(
         self,
-        cache: Optional[DistributedCache] = None,
-        default_map_tasks: int = 4,
         max_workers: Optional[int] = None,
-        spill_threshold_bytes: Optional[int] = None,
-        spill_threshold_records: Optional[int] = None,
-        spill_dir: Optional[str] = None,
-        shard_codec: str = "none",
         mp_context: Optional[str] = None,
-        materialize: str = "memory",
-        dataset_dir: Optional[str] = None,
+        **runner_options: Any,
     ) -> None:
-        super().__init__(
-            cache=cache,
-            default_map_tasks=default_map_tasks,
-            spill_threshold_bytes=spill_threshold_bytes,
-            spill_threshold_records=spill_threshold_records,
-            spill_dir=spill_dir,
-            shard_codec=shard_codec,
-            materialize=materialize,
-            dataset_dir=dataset_dir,
-        )
+        super().__init__(**runner_options)
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         if max_workers < 1:
             raise MapReduceError("max_workers must be >= 1")
         self.max_workers = max_workers
         self.mp_context = mp_context
-        self._job_bytes: Optional[bytes] = None
-        self._cache_bytes: Optional[bytes] = None
-        self._map_spill: Optional[MapSpillSpec] = None
-
-    @property
-    def worker_side_shuffle(self) -> bool:
-        """Whether map workers partition-and-spill locally (budget configured)."""
-        return (
-            self.spill_threshold_bytes is not None
-            or self.spill_threshold_records is not None
-        )
 
     # ---------------------------------------------------------- serialising
     def _describe_component(self, job: JobSpec, attribute: str, is_factory: bool) -> str:
@@ -248,45 +173,57 @@ class ProcessPoolJobRunner(PooledJobRunner):
                 f"the distributed cache does not pickle: {exc}"
             ) from exc
 
-    # ------------------------------------------------------- template hooks
-    def _prepare_job(self, job: JobSpec) -> None:
-        self._job_bytes = self._pickle_job(job)
-        self._cache_bytes = self._pickle_cache(job)
-
-    def _prepare_shuffle(self, shuffle: Any) -> None:
-        """Root the workers' partial shuffles under the parent's run dir."""
-        if self.worker_side_shuffle:
-            self._map_spill = MapSpillSpec(
-                spill_dir=shuffle.ensure_run_dir(),
-                spill_threshold_bytes=self.spill_threshold_bytes,
-                spill_threshold_records=self.spill_threshold_records,
-                codec=self.shard_codec,
-            )
-        else:
-            self._map_spill = None
-
-    def _make_phase_executor(self, num_tasks: int) -> Executor:
+    # ------------------------------------------------------- executor hooks
+    def _make_executor(self, num_tasks: int) -> Executor:
         workers = max(1, min(self.max_workers, num_tasks))
         context = get_context(self.mp_context) if self.mp_context else None
         return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
-    def _submit_task(
-        self,
-        executor: Executor,
-        job: JobSpec,
-        phase: str,
-        task_index: int,
-        task_input: Any,
-        reduce_sink: Optional[Any] = None,
-    ) -> Future[TaskResult]:
-        assert self._job_bytes is not None and self._cache_bytes is not None
-        return executor.submit(
+    def _bind_tasks(
+        self, job: JobSpec, shuffle: ExternalShuffle
+    ) -> Tuple[Callable[..., TaskResult], Callable[..., TaskResult]]:
+        """Both task callables run :func:`_run_task_in_worker` on bytes pickled once.
+
+        Worker-local shuffles are rooted under the job shuffle's run
+        directory, so its cleanup removes their run files (including
+        partial files left by a crashed task) together with its own.
+        """
+        in_worker = partial(
             _run_task_in_worker,
-            self._job_bytes,
-            self._cache_bytes,
-            phase,
-            task_index,
-            task_input,
-            reduce_sink,
-            self._map_spill if phase == "map" else None,
+            self._pickle_job(job),
+            self._pickle_cache(job),
+            {
+                "spill_threshold_bytes": self.spill_threshold_bytes,
+                "spill_threshold_records": self.spill_threshold_records,
+                "spill_dir": shuffle.ensure_run_dir(),
+                "shard_codec": self.shard_codec,
+            },
         )
+        return partial(in_worker, "map"), partial(in_worker, "reduce")
+
+
+def make_runner(
+    execution: Optional[ExecutionConfig] = None,
+    cache: Optional[DistributedCache] = None,
+    default_map_tasks: int = 4,
+) -> LocalJobRunner:
+    """Instantiate the runner described by ``execution``.
+
+    ``None`` yields the default sequential runner.  ``max_workers`` is
+    forwarded to the ``processes`` backend (``None`` selects the CPU count)
+    and ignored by ``local``.
+    """
+    execution = execution if execution is not None else ExecutionConfig()
+    options: Dict[str, Any] = {
+        "cache": cache,
+        "default_map_tasks": default_map_tasks,
+        "spill_threshold_bytes": execution.spill_threshold_bytes,
+        "spill_threshold_records": execution.spill_threshold_records,
+        "spill_dir": execution.spill_dir,
+        "shard_codec": execution.shard_codec,
+        "materialize": execution.materialize,
+        "dataset_dir": execution.dataset_dir,
+    }
+    if execution.runner == "processes":
+        return ProcessPoolJobRunner(max_workers=execution.max_workers, **options)
+    return LocalJobRunner(**options)

@@ -1,11 +1,28 @@
-"""Local execution of MapReduce jobs.
+"""Execution of MapReduce jobs: one run loop over an executor.
 
-:class:`LocalJobRunner` executes a :class:`~repro.mapreduce.job.JobSpec`
-in-process: it plans map splits over the input dataset, runs mappers (and
-the optional combiner), shuffles with the job's partitioner and sort
-comparator, and runs one reducer per partition.  It produces a
-:class:`JobResult` whose outputs are :class:`~repro.mapreduce.dataset.Dataset`
-objects, plus Hadoop-style counters and per-task metrics.
+:class:`LocalJobRunner` executes a :class:`~repro.mapreduce.job.JobSpec`:
+it plans map splits over the input dataset, runs mappers (and the optional
+combiner), shuffles with the job's partitioner and sort comparator, and
+runs one reducer per partition.  It produces a :class:`JobResult` whose
+outputs are :class:`~repro.mapreduce.dataset.Dataset` objects, plus
+Hadoop-style counters and per-task metrics.
+
+:meth:`LocalJobRunner.run` is the engine's only run loop.  It submits the
+tasks of each phase to an :class:`~concurrent.futures.Executor` and reads
+their results back in task order through :func:`iter_task_results`, the one
+place a task failure is turned into an engine error.  ``LocalJobRunner``
+itself runs every task inline, at submit (:class:`InlineExecutor`);
+:class:`~repro.mapreduce.process.ProcessPoolJobRunner` overrides only which
+executor that is and how a task reaches it.  Every task increments
+:class:`~repro.mapreduce.counters.Counters` of its own, merged in task
+order, so totals do not depend on where tasks ran.
+
+A map task always emits into a shuffle — straight into it when the job has
+no combiner, through a budget-bounded
+:class:`~repro.mapreduce.shuffle.CombineBuffer` otherwise: the job's own
+:class:`~repro.mapreduce.shuffle.ExternalShuffle` when the task runs
+inline, a worker-local one whose run files the job's shuffle adopts when
+it runs in a worker process.  No task ever hands a record list back.
 
 Job I/O streams through the dataset layer end to end:
 
@@ -14,9 +31,8 @@ Job I/O streams through the dataset layer end to end:
   from its record counts alone, so the runner never materialises it;
 * with ``materialize="disk"`` every reduce partition is written as one
   shard of the job's output :class:`FileDataset` while the reducer runs —
-  in memory mode outputs stay plain record lists, exactly as before;
-* the shuffle runs through :class:`~repro.mapreduce.shuffle.ExternalShuffle`:
-  with ``spill_threshold_bytes`` set the runner spills sorted runs of map
+  in memory mode outputs stay plain record lists;
+* with ``spill_threshold_bytes`` set the shuffle spills sorted runs of map
   output to temp files and streams each reducer from a k-way merge,
   bounding the shuffle's memory ceiling regardless of the input size.
 
@@ -28,11 +44,13 @@ disk.
 from __future__ import annotations
 
 import time
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.config import MATERIALIZE_MODES
-from repro.exceptions import MapReduceError
+from repro.exceptions import MapReduceError, ReproError
 from repro.mapreduce import counters as counter_names
 from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.context import CountingSink, TaskContext
@@ -49,25 +67,78 @@ from repro.mapreduce.dataset import (
 )
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.metrics import JobMetrics, TaskMetrics
-from repro.mapreduce.serialization import record_size
+# Not called here any more (every emission is sized by its sink); the name stays
+# because tests/test_shuffle_boundary.py counts sizings by patching it per module.
+from repro.mapreduce.serialization import record_size  # noqa: F401
 from repro.mapreduce.shuffle import (
     CombineBuffer,
     ExternalShuffle,
     PartitionInput,
     group_sorted_records,
-    sort_partition,
 )
 from repro.util.codecs import get_codec
 
 Record = Tuple[Any, Any]
 
-#: Input accepted by a reduce task: a raw (unsorted) record list or the
-#: description of an externally shuffled partition.
-ReduceInput = Union[Sequence[Record], PartitionInput]
-
 #: What a finished reduce task hands back: its record list (memory mode) or
 #: the shards its output was written to (disk mode).
 ReduceOutcome = Union[List[Record], Tuple[Shard, ...]]
+
+#: What every task resolves to: its outcome (``None`` for a map task that
+#: emitted into the job's shuffle, a
+#: :class:`~repro.mapreduce.shuffle.MapTaskSpills` for one that ran in a
+#: worker, a :data:`ReduceOutcome` for a reduce task), its metrics and the
+#: counters it incremented.
+TaskResult = Tuple[Any, TaskMetrics, Counters]
+
+
+class InlineExecutor(Executor):
+    """Runs every task in the calling thread, at submit.
+
+    Once a task has failed, later submissions are cancelled instead of run
+    — what a pool does with its pending tasks on the first failure.
+    """
+
+    def __init__(self) -> None:
+        self._failed = False
+
+    def submit(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Future:
+        future: Future = Future()
+        if self._failed:
+            future.cancel()
+            return future
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            self._failed = True
+            future.set_exception(exc)
+        return future
+
+
+def iter_task_results(
+    futures: Sequence[Future], job: JobSpec, phase: str
+) -> Iterator[TaskResult]:
+    """Yield task results in submission order — the engine's failure contract.
+
+    On the first failing task the remaining futures are cancelled (tasks
+    already running finish, as in Hadoop's job teardown).  A
+    :class:`~repro.exceptions.ReproError` raised by the task propagates
+    unchanged; anything else is re-raised as a :class:`MapReduceError`
+    identifying the job, phase and task — on every backend.
+    """
+    for index, future in enumerate(futures):
+        try:
+            result = future.result()
+        except Exception as exc:
+            for pending in futures[index + 1 :]:
+                pending.cancel()
+            if isinstance(exc, ReproError):
+                raise
+            raise MapReduceError(
+                f"job {job.name!r}: {phase} task {index} failed: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+        yield result
 
 
 @dataclass
@@ -248,48 +319,36 @@ class LocalJobRunner:
             )
         return output_dataset, partition_datasets
 
-    # ------------------------------------------------------------------ map
+    # ---------------------------------------------------------------- tasks
     def _run_map_task(
         self,
         job: JobSpec,
         task_index: int,
         split: Iterable[Record],
         counters: Counters,
-        shuffle: Optional[ExternalShuffle] = None,
-    ) -> Tuple[Optional[List[Record]], TaskMetrics]:
-        """Run one map task over ``split``.
+        shuffle: ExternalShuffle,
+    ) -> Tuple[None, TaskMetrics]:
+        """Run one map task over ``split``, emitting into ``shuffle``.
 
-        With ``shuffle`` given, emissions stream out of the task as they
-        are produced — straight into the shuffle when no combiner is
-        configured, or through a budget-bounded :class:`CombineBuffer`
-        otherwise — and the returned record list is ``None``.  Without a
-        shuffle (the pooled backends collecting task output to route in
-        task order) the task's (possibly combined) output is returned for
-        the caller to route.  Counter totals are identical either way.
+        Emissions stream out of the task as they are produced — straight
+        into the shuffle when no combiner is configured, or through a
+        budget-bounded :class:`CombineBuffer` otherwise — so the task has
+        no outcome of its own to hand back.
         """
         started = time.perf_counter()
         mapper = job.make_mapper()
-        has_combiner = job.combiner_factory is not None
-        collected: Optional[List[Record]] = None
-
-        combine_buffer: Optional[CombineBuffer] = None
-        sink: Optional[Any] = None
-        if has_combiner:
-            if shuffle is not None:
-                downstream = shuffle.add
-            else:
-                collected = []
-                downstream = lambda key, value, size: collected.append((key, value))  # noqa: E731
-            combine_buffer = CombineBuffer(
+        combining = job.combiner_factory is not None
+        sink: Any
+        if combining:
+            sink = CombineBuffer(
                 job,
                 counters=counters,
                 cache=self.cache,
-                output=downstream,
+                output=shuffle.add,
                 spill_threshold_bytes=self.spill_threshold_bytes,
                 spill_threshold_records=self.spill_threshold_records,
             )
-            sink = combine_buffer
-        elif shuffle is not None:
+        else:
             sink = CountingSink(shuffle.add)
 
         context = TaskContext(counters=counters, cache=self.cache, sink=sink)
@@ -301,87 +360,46 @@ class LocalJobRunner:
         mapper.cleanup(context)
         counters.increment(counter_names.MAP_INPUT_RECORDS, input_records)
 
-        if combine_buffer is not None:
-            combine_buffer.flush()
-            counters.increment(
-                counter_names.MAP_OUTPUT_RECORDS, combine_buffer.emitted_records
-            )
-            counters.increment(counter_names.MAP_OUTPUT_BYTES, combine_buffer.emitted_bytes)
-            counters.increment(
-                counter_names.SHUFFLE_RECORDS, combine_buffer.combined_records
-            )
-            counters.increment(counter_names.SHUFFLE_BYTES, combine_buffer.combined_bytes)
-            metrics = TaskMetrics(
-                task_type="map",
-                task_index=task_index,
-                input_records=input_records,
-                output_records=combine_buffer.emitted_records,
-                output_bytes=combine_buffer.emitted_bytes,
-                sorted_records=combine_buffer.emitted_records,
-                elapsed_seconds=time.perf_counter() - started,
-            )
-            return collected, metrics
-
-        if sink is not None:
-            counters.increment(counter_names.MAP_OUTPUT_RECORDS, sink.num_records)
-            counters.increment(counter_names.MAP_OUTPUT_BYTES, sink.serialized_bytes)
-            counters.increment(counter_names.SHUFFLE_RECORDS, sink.num_records)
-            counters.increment(counter_names.SHUFFLE_BYTES, sink.serialized_bytes)
-            metrics = TaskMetrics(
-                task_type="map",
-                task_index=task_index,
-                input_records=input_records,
-                output_records=sink.num_records,
-                output_bytes=sink.serialized_bytes,
-                sorted_records=0,
-                elapsed_seconds=time.perf_counter() - started,
-            )
-            return None, metrics
-
-        emitted = context.drain()
-        output_bytes = 0
-        for key, value in emitted:
-            output_bytes += record_size(key, value)
-        counters.increment(counter_names.MAP_OUTPUT_RECORDS, len(emitted))
-        counters.increment(counter_names.MAP_OUTPUT_BYTES, output_bytes)
-        counters.increment(counter_names.SHUFFLE_RECORDS, len(emitted))
-        counters.increment(counter_names.SHUFFLE_BYTES, output_bytes)
-
+        if combining:
+            sink.flush()
+            emitted_records, emitted_bytes = sink.emitted_records, sink.emitted_bytes
+            shuffled_records, shuffled_bytes = sink.combined_records, sink.combined_bytes
+        else:
+            emitted_records = shuffled_records = sink.num_records
+            emitted_bytes = shuffled_bytes = sink.serialized_bytes
+        counters.increment(counter_names.MAP_OUTPUT_RECORDS, emitted_records)
+        counters.increment(counter_names.MAP_OUTPUT_BYTES, emitted_bytes)
+        counters.increment(counter_names.SHUFFLE_RECORDS, shuffled_records)
+        counters.increment(counter_names.SHUFFLE_BYTES, shuffled_bytes)
         metrics = TaskMetrics(
             task_type="map",
             task_index=task_index,
             input_records=input_records,
-            output_records=len(emitted),
-            output_bytes=output_bytes,
-            sorted_records=0,
+            output_records=emitted_records,
+            output_bytes=emitted_bytes,
+            # Only the combine buffer sorts on the map side.
+            sorted_records=emitted_records if combining else 0,
             elapsed_seconds=time.perf_counter() - started,
         )
-        return emitted, metrics
-
-    # --------------------------------------------------------------- reduce
-    def _sorted_reduce_stream(self, job: JobSpec, partition: ReduceInput) -> Iterator[Record]:
-        """The partition's records in sort order, streamed when spilled."""
-        if isinstance(partition, PartitionInput):
-            return partition.sorted_records(job.sort_comparator)
-        return iter(sort_partition(partition, job.sort_comparator))
+        return None, metrics
 
     def _run_reduce_task(
         self,
         job: JobSpec,
         task_index: int,
-        partition: ReduceInput,
+        partition: PartitionInput,
         counters: Counters,
-        output_sink: Optional[Any] = None,
+        output_sink: Optional[Any],
     ) -> Tuple[ReduceOutcome, TaskMetrics]:
         """Run one reduce task; its output flows through ``output_sink``.
 
-        The default :class:`ListSink` buffers the partition output in
-        memory and the outcome is the record list; a :class:`ShardSink`
+        ``None`` selects a :class:`ListSink`, which buffers the partition
+        output in memory and the outcome is the record list; a :class:`ShardSink`
         frames each emission straight to a shard file and the outcome is
         the finished :class:`Shard`.
         """
         started = time.perf_counter()
-        sorted_stream = self._sorted_reduce_stream(job, partition)
+        sorted_stream = partition.sorted_records(job.sort_comparator)
         reducer = job.make_reducer()
         sink = output_sink if output_sink is not None else ListSink()
         sink.begin()
@@ -415,9 +433,23 @@ class LocalJobRunner:
         )
         return outcome, metrics
 
+    def execute_task(
+        self, job: JobSpec, phase: str, task_index: int, task_input: Any, target: Any
+    ) -> TaskResult:
+        """Run one map or reduce task with counters of its own.
+
+        This is the unit an executor runs, in this process or in a worker.
+        ``target`` receives the task's emissions: the shuffle of a map
+        task, the output sink of a reduce task (``None`` buffers).
+        """
+        counters = Counters()
+        run_task = self._run_map_task if phase == "map" else self._run_reduce_task
+        outcome, metrics = run_task(job, task_index, task_input, counters, target)
+        return outcome, metrics, counters
+
     # -------------------------------------------------------------- shuffle
-    def _new_shuffle(self, job: JobSpec) -> ExternalShuffle:
-        """The shuffle for one job run (spilling iff a threshold is set)."""
+    def new_shuffle(self, job: JobSpec) -> ExternalShuffle:
+        """A shuffle for ``job`` under this runner's budget, directory and codec."""
         return ExternalShuffle(
             job.partitioner,
             job.sort_comparator,
@@ -428,49 +460,84 @@ class LocalJobRunner:
             codec=self.shard_codec,
         )
 
-    @staticmethod
-    def _record_spill_counters(shuffle: ExternalShuffle, counters: Counters) -> None:
-        """Publish spill activity; no-spill runs keep their counter set unchanged."""
-        if not shuffle.spilled:
-            return
-        counters.increment(counter_names.SHUFFLE_SPILLS, shuffle.stats.num_spills)
-        counters.increment(counter_names.SPILLED_RECORDS, shuffle.stats.spilled_records)
-        counters.increment(counter_names.SPILLED_BYTES, shuffle.stats.spilled_bytes)
+    # ------------------------------------------------------- executor hooks
+    def _make_executor(self, num_tasks: int) -> Executor:
+        """The executor both phases of one run submit their tasks to."""
+        return InlineExecutor()
+
+    def _bind_tasks(
+        self, job: JobSpec, shuffle: ExternalShuffle
+    ) -> Tuple[Callable[..., TaskResult], Callable[..., TaskResult]]:
+        """The callables one run submits: ``map(index, split)``, ``reduce(index, partition, sink)``.
+
+        Inline, a map task emits straight into the job's ``shuffle``.
+        """
+        return (
+            partial(self.execute_task, job, "map", target=shuffle),
+            partial(self.execute_task, job, "reduce"),
+        )
 
     # ------------------------------------------------------------------ run
     def run(self, job: JobSpec, input_records: Union[Dataset, Iterable[Record]]) -> JobResult:
-        """Execute ``job`` over ``input_records`` and return its result."""
+        """Execute ``job`` over ``input_records`` and return its result.
+
+        The shuffle is sealed only after *all* map tasks have completed —
+        the same barrier Hadoop enforces — and task results are folded in
+        task order, which keeps the merge of adopted runs stable and the
+        output byte-identical wherever the tasks ran.
+        """
         started = time.perf_counter()
         dataset = as_dataset(input_records)
         counters = Counters()
         metrics = JobMetrics(job_name=job.name)
+        splits = dataset.split(job.num_map_tasks or self.default_map_tasks)
 
-        num_map_tasks = job.num_map_tasks or self.default_map_tasks
-        splits = dataset.split(num_map_tasks)
-
-        shuffle = self._new_shuffle(job)
+        shuffle = self.new_shuffle(job)
         try:
-            for task_index, split in enumerate(splits):
-                shuffle_records, task_metrics = self._run_map_task(
-                    job, task_index, split, counters, shuffle=shuffle
-                )
-                if shuffle_records is not None:
-                    shuffle.add_records(shuffle_records)
-                metrics.map_tasks.append(task_metrics)
-            shuffle.finalize()
-            self._record_spill_counters(shuffle, counters)
+            with self._make_executor(max(len(splits), job.num_reducers)) as executor:
+                map_task, reduce_task = self._bind_tasks(job, shuffle)
+                futures = [
+                    executor.submit(map_task, index, split)
+                    for index, split in enumerate(splits)
+                ]
+                for spills, task_metrics, task_counters in iter_task_results(
+                    futures, job, "map"
+                ):
+                    if spills is not None:
+                        shuffle.adopt_runs(spills.run_paths, spills.stats)
+                    metrics.map_tasks.append(task_metrics)
+                    counters.merge(task_counters)
+                try:
+                    shuffle.finalize()
+                except MapReduceError:
+                    raise
+                except Exception as exc:
+                    # The remainder flushed here belongs to no task, so this
+                    # is the shuffle's own failure, not a task's.
+                    raise MapReduceError(
+                        f"job {job.name!r}: shuffle failed during the map phase: "
+                        f"{type(exc).__name__}: {exc}"
+                    ) from exc
+                if shuffle.spilled:
+                    counters.increment(counter_names.SHUFFLE_SPILLS, shuffle.stats.num_spills)
+                    counters.increment(
+                        counter_names.SPILLED_RECORDS, shuffle.stats.spilled_records
+                    )
+                    counters.increment(counter_names.SPILLED_BYTES, shuffle.stats.spilled_bytes)
 
-            outcomes: List[ReduceOutcome] = []
-            for task_index, partition in enumerate(shuffle.partition_inputs()):
-                outcome, task_metrics = self._run_reduce_task(
-                    job,
-                    task_index,
-                    partition,
-                    counters,
-                    output_sink=self._make_reduce_sink(job, task_index),
-                )
-                outcomes.append(outcome)
-                metrics.reduce_tasks.append(task_metrics)
+                futures = [
+                    executor.submit(
+                        reduce_task, index, partition, self._make_reduce_sink(job, index)
+                    )
+                    for index, partition in enumerate(shuffle.partition_inputs())
+                ]
+                outcomes: List[ReduceOutcome] = []
+                for outcome, task_metrics, task_counters in iter_task_results(
+                    futures, job, "reduce"
+                ):
+                    outcomes.append(outcome)
+                    metrics.reduce_tasks.append(task_metrics)
+                    counters.merge(task_counters)
         finally:
             shuffle.cleanup()
 

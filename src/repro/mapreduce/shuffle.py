@@ -24,11 +24,12 @@ Two further pieces complete the map side of the out-of-core story:
   the combined records move on — combine-per-*spill* instead of
   combine-per-task, so a map task's peak is capped by the budget no matter
   how much it emits;
-* :class:`MapTaskSpills` describes the output of a map task that partitioned
-  and spilled *locally* in a worker process (see
-  :mod:`repro.mapreduce.process`); the parent adopts the run paths into its
-  shuffle with :meth:`ExternalShuffle.adopt_runs` instead of receiving the
-  records themselves.
+* :class:`MapTaskSpills` describes the output of a map task that ran in a
+  worker process (see :mod:`repro.mapreduce.process`): it emitted into a
+  worker-local shuffle and handed its whole output over as sorted run
+  files, which the parent adopts into the job's shuffle with
+  :meth:`ExternalShuffle.adopt_runs` — the records themselves never cross
+  the process boundary.
 """
 
 from __future__ import annotations
@@ -353,11 +354,12 @@ class PartitionInput:
     The object is picklable (runs are file paths, records plain tuples), so
     a process-based runner can ship it to a reduce worker, which then streams
     the merged runs locally instead of receiving a materialised partition.
+    ``records`` is the shuffle's own partition buffer, not a copy of it.
     """
 
     partition_index: int
     run_paths: Tuple[str, ...] = ()
-    records: Tuple[Record, ...] = ()
+    records: Sequence[Record] = ()
     codec: str = "none"
 
     @property
@@ -419,12 +421,13 @@ class SpillStats:
 
 @dataclass(frozen=True)
 class MapTaskSpills:
-    """Output of a map task that partitioned and spilled in a worker.
+    """Output of a map task that ran in a worker: nothing but run files.
 
     ``run_paths[p]`` are the sorted run files of reduce partition ``p``, in
-    spill order.  The object carries only paths and counts, so shipping it
-    across the process boundary costs a few hundred bytes regardless of how
-    much the task emitted; the parent folds it into its shuffle with
+    spill order; ``stats`` counts the budget-triggered spills among them.
+    The object carries only paths and counts, so shipping it across the
+    process boundary costs a few hundred bytes regardless of how much the
+    task emitted; the parent folds it into its shuffle with
     :meth:`ExternalShuffle.adopt_runs`.
     """
 
@@ -497,10 +500,15 @@ class ExternalShuffle:
                 self._run_dir = tempfile.mkdtemp(prefix="repro-shuffle-")
         return self._run_dir
 
-    def _spill(self) -> None:
-        """Sort and write every non-empty partition buffer as one run file."""
+    def _spill(self, counted: bool = True) -> None:
+        """Sort and write every non-empty partition buffer as one run file.
+
+        ``counted=False`` writes the runs without recording them in
+        :attr:`stats` (see :meth:`finalize`).
+        """
         directory = self._run_directory()
         codec = get_codec(self.codec)
+        spill = SpillStats(num_spills=1, spilled_bytes=self._buffered_bytes)
         for index, buffer in enumerate(self._buffers):
             if not buffer:
                 continue
@@ -512,13 +520,13 @@ class ExternalShuffle:
                 for key, value in run:
                     write_framed_record(handle, key, value)
             self._runs[index].append(path)
-            self.stats.spilled_runs += 1
-            self.stats.spilled_records += len(run)
+            spill.spilled_runs += 1
+            spill.spilled_records += len(run)
             self._buffers[index] = []
-        self.stats.spilled_bytes += self._buffered_bytes
         self._buffered_bytes = 0
         self._buffered_records = 0
-        self.stats.num_spills += 1
+        if counted:
+            self.stats.merge(spill)
 
     # ------------------------------------------------------------ interface
     @property
@@ -566,23 +574,24 @@ class ExternalShuffle:
 
         Flushing the tail keeps the memory ceiling at the spill threshold for
         the whole reduce phase and lets process-based runners hand reduce
-        workers nothing but run file paths.  ``spill_remainder`` forces the
+        workers nothing but run file paths.  ``spill_remainder`` writes the
         buffered remainder out even when no budget spill ever triggered —
-        the worker-side partial shuffle uses it so a map task's entire
-        output leaves the worker as run files.
+        how a worker-local shuffle hands a map task's entire output over as
+        run files.  That hand-off is not a spill: it leaves :attr:`stats`
+        (hence the job's spill counters) untouched.
         """
         if self._finalized:
             return
         if (self.spilled or spill_remainder) and any(self._buffers):
-            self._spill()
+            self._spill(counted=self.spilled)
         self._finalized = True
 
     def ensure_run_dir(self) -> str:
         """Create (if needed) and return this shuffle's private run directory.
 
         A parent runner hands the directory to its map workers as the root
-        their worker-local shuffles spill under, so :meth:`cleanup` removes
-        worker runs together with the parent's own.
+        their worker-local shuffles write runs under, so :meth:`cleanup`
+        removes worker runs together with the parent's own.
         """
         return self._run_directory()
 
@@ -624,7 +633,7 @@ class ExternalShuffle:
         return PartitionInput(
             partition_index=index,
             run_paths=tuple(self._runs[index]),
-            records=tuple(self._buffers[index]),
+            records=self._buffers[index],
             codec=self.codec,
         )
 

@@ -25,7 +25,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.config import ExecutionConfig, StoreConfig
 from repro.exceptions import StoreError
-from repro.mapreduce.backends import make_runner
+from repro.mapreduce.process import make_runner
 from repro.mapreduce.dataset import Dataset
 from repro.mapreduce.job import IdentityMapper, JobSpec, Partitioner, Reducer, TaskContext
 from repro.mapreduce.pipeline import JobPipeline

@@ -1,10 +1,10 @@
 """Crash cleanup: failures mid-spill leave no orphan files behind.
 
 The out-of-core paths put transient state on disk — shuffle spill runs in
-the parent, worker-local partial shuffles in map workers.  A task or
-shuffle failure must (a) surface as a :class:`MapReduceError` carrying the
-job, phase and task identity, and (b) leave the configured ``spill_dir``
-empty: no orphan run directories, no partial run files.
+the parent, worker-local shuffles in map workers.  A task or shuffle
+failure must (a) surface as a :class:`MapReduceError` carrying the job,
+phase and task identity — on either backend — and (b) leave the configured
+``spill_dir`` empty: no orphan run directories, no partial run files.
 """
 
 import os
@@ -12,9 +12,9 @@ from typing import Any, Iterable
 
 import pytest
 
-from repro.exceptions import MapReduceError
-from repro.mapreduce.parallel import ThreadPoolJobRunner
+from repro.exceptions import MapReduceError, SerializationError
 from repro.mapreduce.process import ProcessPoolJobRunner
+from repro.mapreduce.runner import LocalJobRunner
 from repro.mapreduce.job import JobSpec, Mapper, TaskContext
 
 from tests.test_runner import SumCombiner, SumReducer
@@ -52,6 +52,17 @@ class UnspillableValueMapper(Mapper):
             context.emit(token, UnspillableValue())
 
 
+class TrailingUnspillableMapper(Mapper):
+    """Spillable emissions, then one unspillable record as the task's last."""
+
+    def map(self, key: Any, value: Iterable[str], context: TaskContext) -> None:
+        for token in value:
+            context.emit(token, 1)
+
+    def cleanup(self, context: TaskContext) -> None:
+        context.emit("tail", UnspillableValue())
+
+
 def _job(**overrides) -> JobSpec:
     spec = dict(
         name="crash-cleanup",
@@ -72,12 +83,10 @@ def _poisoned_input():
 
 
 class TestMidMapSpillCleanup:
-    def test_threads_failure_mid_map_spill(self, tmp_path):
+    def test_local_failure_mid_map_spill(self, tmp_path):
         """Parent-side spills exist when a later map task fails."""
         spill_dir = str(tmp_path / "spills")
-        runner = ThreadPoolJobRunner(
-            max_workers=1, spill_threshold_records=8, spill_dir=spill_dir
-        )
+        runner = LocalJobRunner(spill_threshold_records=8, spill_dir=spill_dir)
         with pytest.raises(MapReduceError) as excinfo:
             runner.run(_job(), _poisoned_input())
         message = str(excinfo.value)
@@ -90,15 +99,27 @@ class TestMidMapSpillCleanup:
         """A failure *inside* the spill write (unpicklable record) removes
         the partially written run file along with the run directory."""
         spill_dir = str(tmp_path / "spills")
-        runner = ThreadPoolJobRunner(
-            max_workers=1, spill_threshold_records=2, spill_dir=spill_dir
-        )
+        runner = LocalJobRunner(spill_threshold_records=2, spill_dir=spill_dir)
         job = _job(mapper_factory=UnspillableValueMapper)
+        # The spill is triggered by an emission, so it fails inside the task,
+        # and the library's own error leaves the task unchanged.
+        with pytest.raises(SerializationError, match="cannot spill record"):
+            runner.run(job, _poisoned_input())
+        assert os.listdir(spill_dir) == []
+
+    def test_failing_final_flush_is_a_shuffle_failure(self, tmp_path):
+        """The remainder flushed when the shuffle is sealed belongs to no
+        task: its failure is the shuffle's, and cleans up all the same."""
+        spill_dir = str(tmp_path / "spills")
+        # 17 spillable emissions spill at 5, 10 and 15; the unspillable
+        # tail of the last task stays buffered until the final flush.
+        runner = LocalJobRunner(spill_threshold_records=4, spill_dir=spill_dir)
+        job = _job(mapper_factory=TrailingUnspillableMapper, num_map_tasks=1)
         with pytest.raises(MapReduceError) as excinfo:
             runner.run(job, _poisoned_input())
         message = str(excinfo.value)
         assert "crash-cleanup" in message
-        assert "map phase" in message
+        assert "shuffle failed during the map phase" in message
         assert os.listdir(spill_dir) == []
 
 

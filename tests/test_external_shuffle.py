@@ -69,6 +69,29 @@ class TestExternalShuffle:
             ]
         assert merged == self._expected_partitions(RECORDS)
 
+    def test_reduce_input_is_the_partition_buffer_not_a_copy(self):
+        """Describing a partition must not duplicate its buffered records."""
+        with self._shuffle(None) as shuffle:
+            shuffle.add_records(RECORDS)
+            shuffle.finalize()
+            for index in range(3):
+                first = shuffle.partition_input(index)
+                assert first.records, "every partition should hold records"
+                assert shuffle.partition_input(index).records is first.records
+
+    def test_hand_off_writes_runs_without_counting_a_spill(self):
+        """``finalize(spill_remainder=True)`` below the budget moves every
+        record to run files and leaves the spill statistics untouched."""
+        with self._shuffle(None) as shuffle:
+            shuffle.add_records(RECORDS)
+            shuffle.finalize(spill_remainder=True)
+            assert not shuffle.spilled
+            assert shuffle.stats.spilled_records == shuffle.stats.spilled_bytes == 0
+            inputs = shuffle.partition_inputs()
+            assert all(partition.run_paths and not partition.records for partition in inputs)
+            merged = [list(partition.sorted_records(SortComparator())) for partition in inputs]
+        assert merged == self._expected_partitions(RECORDS)
+
     def test_tiny_threshold_spills_multiple_runs(self):
         """A threshold far below the shuffle volume forces >= 2 merged runs."""
         with self._shuffle(64) as shuffle:

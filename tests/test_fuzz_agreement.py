@@ -17,7 +17,7 @@ What may legitimately vary and what may not:
   no-budget run, which is the point of the combine buffer);
 * spill counters (``SHUFFLE_SPILLS``, ``SPILLED_*``): backend-specific
   once a budget is set — the process backend spills per worker map task,
-  the others spill one global shuffle.
+  the sequential one spills one global shuffle.
 """
 
 import random
@@ -67,7 +67,7 @@ def _random_job_config(rng, use_combiner):
 
 def _sample_execution(rng):
     """One random cell of the backend × materialize × codec × budget matrix."""
-    runner = rng.choice(("local", "threads", "processes"))
+    runner = rng.choice(("local", "processes"))
     kwargs = {
         "runner": runner,
         "materialize": rng.choice(("memory", "disk")),
@@ -150,7 +150,7 @@ def test_backends_share_counter_semantics_under_one_budget(seed):
     config = NGramJobConfig(min_frequency=2, max_length=3, use_combiner=True)
 
     results = {}
-    for runner in ("local", "threads", "processes"):
+    for runner in ("local", "processes"):
         execution = ExecutionConfig(
             runner=runner,
             max_workers=None if runner == "local" else 2,

@@ -1,7 +1,7 @@
 """Cross-backend × cross-materialization agreement, and retention semantics.
 
 The acceptance bar for the dataset layer is that materialisation is
-*byte-transparent*: every runner (local, threads, processes) in every
+*byte-transparent*: every runner (local, processes) in every
 materialisation mode (memory, disk) produces the same final statistics,
 the same per-job outputs and partition outputs, and identical counter
 totals.  Disk mode must additionally put job outputs on disk (as shards)
@@ -18,7 +18,7 @@ from repro.config import ExecutionConfig, NGramJobConfig
 from repro.exceptions import DatasetError
 from repro.mapreduce.dataset import FileDataset, MemoryDataset
 
-ALGORITHMS = ("NAIVE", "APRIORI-SCAN", "SUFFIX-SIGMA")
+ALGORITHMS = ("NAIVE", "APRIORI-SCAN", "APRIORI-INDEX", "SUFFIX-SIGMA")
 
 #: runner × materialisation matrix; every cell must be byte-identical to the
 #: sequential in-memory reference.  Retention "all" keeps intermediates so
@@ -26,10 +26,6 @@ ALGORITHMS = ("NAIVE", "APRIORI-SCAN", "SUFFIX-SIGMA")
 MATRIX = {
     ("local", "memory"): ExecutionConfig(runner="local", retention="all"),
     ("local", "disk"): ExecutionConfig(runner="local", materialize="disk", retention="all"),
-    ("threads", "memory"): ExecutionConfig(runner="threads", max_workers=3, retention="all"),
-    ("threads", "disk"): ExecutionConfig(
-        runner="threads", max_workers=3, materialize="disk", retention="all"
-    ),
     ("processes", "memory"): ExecutionConfig(runner="processes", max_workers=2, retention="all"),
     ("processes", "disk"): ExecutionConfig(
         runner="processes", max_workers=2, materialize="disk", retention="all"

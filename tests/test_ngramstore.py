@@ -14,6 +14,8 @@ from repro.config import ExecutionConfig, StoreConfig
 from repro.exceptions import StoreError
 from repro.harness.datasets import nytimes_like
 from repro.mapreduce.pipeline import JobPipeline
+from repro.mapreduce.process import ProcessPoolJobRunner
+from repro.mapreduce.runner import LocalJobRunner
 from repro.ngrams.timeseries import (
     NGramTimeSeriesCollection,
     StoreBackedTimeSeriesCollection,
@@ -199,9 +201,11 @@ class TestBuildHelpers:
             RangePartitioner([(5,), (5,)])
 
     def test_sorted_run_reducer_rejects_duplicates(self):
+        """The store's own error reaches the caller unchanged on both backends."""
         job = total_order_sort_job("dup", [])
-        with pytest.raises(StoreError, match="duplicate key"):
-            JobPipeline().run_job(job, [((1,), 1), ((1,), 2)])
+        for runner in (LocalJobRunner(), ProcessPoolJobRunner(max_workers=2)):
+            with pytest.raises(StoreError, match="duplicate key"):
+                JobPipeline(runner=runner).run_job(job, [((1,), 1), ((1,), 2)])
 
     def test_duplicate_check_message_names_reducer(self):
         reducer = SortedRunReducer()

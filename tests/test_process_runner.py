@@ -2,9 +2,14 @@
 
 The process backend must be a drop-in replacement for the sequential
 runner: identical output, partition output and counter totals, plus the
-engine-level error contract — task failures and unpicklable job components
-surface as :class:`MapReduceError` with job/task identity.
+engine-level error contract — shared with the sequential runner — that task
+failures surface as :class:`MapReduceError` with job/task identity (a
+:class:`ReproError` raised by a task unchanged), and unpicklable job
+components are diagnosed by name.  Map output reaches the parent as run
+files only, with or without a spill budget.
 """
+
+import os
 
 from typing import Any, Iterable
 
@@ -12,13 +17,20 @@ import pytest
 
 from repro.algorithms.suffix_sigma import SuffixSigmaCounter
 from repro.config import NGramJobConfig
-from repro.exceptions import MapReduceError
-from repro.mapreduce.counters import MAP_OUTPUT_BYTES, MAP_OUTPUT_RECORDS
+from repro.exceptions import MapReduceError, StoreError
+from repro.mapreduce import runner as runner_module
+from repro.mapreduce.counters import (
+    MAP_OUTPUT_BYTES,
+    MAP_OUTPUT_RECORDS,
+    SHUFFLE_SPILLS,
+    SPILLED_BYTES,
+    SPILLED_RECORDS,
+)
 from repro.mapreduce.job import Mapper, Partitioner, TaskContext
-from repro.mapreduce.parallel import ThreadPoolJobRunner
 from repro.mapreduce.pipeline import JobPipeline
 from repro.mapreduce.process import ProcessPoolJobRunner
 from repro.mapreduce.runner import LocalJobRunner
+from repro.mapreduce.shuffle import MapTaskSpills
 
 from tests.test_runner import (
     EXPECTED_COUNTS,
@@ -34,6 +46,13 @@ class ExplodingMapper(Mapper):
 
     def map(self, key: Any, value: Iterable[str], context: TaskContext) -> None:
         raise ValueError("boom")
+
+
+class RefusingMapper(Mapper):
+    """Mapper raising one of the library's own errors."""
+
+    def map(self, key: Any, value: Iterable[str], context: TaskContext) -> None:
+        raise StoreError("refused")
 
 
 class BrokenPartitioner(Partitioner):
@@ -77,6 +96,36 @@ class TestProcessPoolJobRunner:
         result = ProcessPoolJobRunner(max_workers=2).run(word_count_job(), [])
         assert result.is_empty()
 
+    def test_single_worker_equivalent(self):
+        sequential = LocalJobRunner().run(word_count_job(), WORDS_INPUT)
+        parallel = ProcessPoolJobRunner(max_workers=1).run(word_count_job(), WORDS_INPUT)
+        assert parallel.output_as_dict() == sequential.output_as_dict()
+
+    def test_unbudgeted_map_output_is_handed_over_as_run_files(self, tmp_path, monkeypatch):
+        """No budget, same path: every map task hands back run files (never
+        a record list), the hand-off is not counted as a spill, and the run
+        files are gone once the job is done."""
+        results = {"map": [], "reduce": []}
+        guard = runner_module.iter_task_results
+
+        def recording_guard(futures, job, phase):
+            for result in guard(futures, job, phase):
+                results[phase].append(result[0])
+                yield result
+
+        monkeypatch.setattr(runner_module, "iter_task_results", recording_guard)
+        spill_dir = str(tmp_path / "spills")
+        job = word_count_job(num_map_tasks=3)
+        result = ProcessPoolJobRunner(max_workers=2, spill_dir=spill_dir).run(job, WORDS_INPUT)
+
+        assert result.output_as_dict() == EXPECTED_COUNTS
+        assert len(results["map"]) == 3
+        assert all(isinstance(outcome, MapTaskSpills) for outcome in results["map"])
+        assert sum(len(runs) for spills in results["map"] for runs in spills.run_paths) > 0
+        for counter in (SHUFFLE_SPILLS, SPILLED_RECORDS, SPILLED_BYTES):
+            assert counter not in result.counters.as_dict()["task"]
+        assert os.listdir(spill_dir) == []
+
     def test_spilled_shuffle_matches_in_memory(self):
         sequential = LocalJobRunner().run(word_count_job(), WORDS_INPUT)
         spilling = ProcessPoolJobRunner(max_workers=2, spill_threshold_bytes=8)
@@ -105,26 +154,24 @@ class TestProcessRunnerErrorContract:
 
     def test_task_failure_carries_job_and_task_identity(self):
         job = word_count_job(mapper_factory=ExplodingMapper, num_map_tasks=2)
-        with pytest.raises(MapReduceError) as excinfo:
-            ProcessPoolJobRunner(max_workers=2).run(job, WORDS_INPUT)
-        message = str(excinfo.value)
-        assert "word-count" in message
-        assert "map task 0" in message
-        assert "boom" in message
+        for runner in (LocalJobRunner(), ProcessPoolJobRunner(max_workers=2)):
+            with pytest.raises(MapReduceError) as excinfo:
+                runner.run(job, WORDS_INPUT)
+            message = str(excinfo.value)
+            assert "word-count" in message
+            assert "map task 0" in message
+            assert "ValueError: boom" in message
 
-    def test_thread_runner_shares_the_failure_contract(self):
-        job = word_count_job(mapper_factory=ExplodingMapper, num_map_tasks=2)
-        with pytest.raises(MapReduceError) as excinfo:
-            ThreadPoolJobRunner(max_workers=2).run(job, WORDS_INPUT)
-        message = str(excinfo.value)
-        assert "word-count" in message
-        assert "map task 0" in message
-        assert "ValueError" in message
+    def test_library_error_from_a_task_propagates_unchanged(self):
+        job = word_count_job(mapper_factory=RefusingMapper, num_map_tasks=2)
+        for runner in (LocalJobRunner(), ProcessPoolJobRunner(max_workers=2)):
+            with pytest.raises(StoreError, match="refused"):
+                runner.run(job, WORDS_INPUT)
 
     def test_shuffle_failure_surfaces_as_engine_error(self):
-        """Errors raised while routing map output (not inside a task) are engine errors."""
+        """Errors raised while routing map output are engine errors."""
         job = word_count_job(partitioner=BrokenPartitioner(), num_map_tasks=3)
-        for runner in (ThreadPoolJobRunner(max_workers=2), ProcessPoolJobRunner(max_workers=2)):
+        for runner in (LocalJobRunner(), ProcessPoolJobRunner(max_workers=2)):
             with pytest.raises(MapReduceError, match="partitioner returned index"):
                 runner.run(job, WORDS_INPUT)
 

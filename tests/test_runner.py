@@ -1,11 +1,15 @@
 """Tests for the local MapReduce job runner."""
 
+import importlib
 from typing import Any, Iterable
 
 import pytest
 
+from repro.cli import main
+from repro.config import RUNNER_NAMES, ExecutionConfig
 from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.counters import (
+    Counters,
     COMBINE_OUTPUT_RECORDS,
     MAP_INPUT_RECORDS,
     MAP_OUTPUT_BYTES,
@@ -15,8 +19,9 @@ from repro.mapreduce.counters import (
 )
 from repro.mapreduce.dataset import MemoryDataset
 from repro.mapreduce.job import Combiner, JobSpec, Mapper, Partitioner, Reducer, TaskContext
+from repro.mapreduce.process import ProcessPoolJobRunner
 from repro.mapreduce.runner import LocalJobRunner
-from repro.exceptions import MapReduceError
+from repro.exceptions import ConfigurationError, MapReduceError
 
 
 class WordCountMapper(Mapper):
@@ -201,3 +206,28 @@ class TestLocalJobRunner:
     def test_output_keys_property(self):
         result = LocalJobRunner().run(word_count_job(), WORDS_INPUT)
         assert sorted(result.output_keys) == sorted(EXPECTED_COUNTS)
+
+
+class TestOneRunLoop:
+    """The architecture: one ``run()``, two executors, one map-output path."""
+
+    def test_process_runner_inherits_the_run_loop(self):
+        assert ProcessPoolJobRunner.run is LocalJobRunner.run
+
+    def test_pooled_template_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.mapreduce.parallel")
+
+    def test_threads_backend_is_gone(self, tmp_path):
+        assert RUNNER_NAMES == ("local", "processes")
+        with pytest.raises(ConfigurationError, match="runner must be one of"):
+            ExecutionConfig(runner="threads")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["count", "--input", str(tmp_path), "--runner", "threads"])
+        assert excinfo.value.code == 2
+
+    def test_map_task_requires_a_shuffle(self):
+        """There is no collect-the-records mode to fall back to."""
+        runner = LocalJobRunner()
+        with pytest.raises(TypeError, match="shuffle"):
+            runner._run_map_task(word_count_job(), 0, WORDS_INPUT, Counters())

@@ -1,10 +1,10 @@
-"""Cross-backend agreement: local, thread and process runners are equivalent.
+"""Cross-backend agreement: the local and process runners are equivalent.
 
 The acceptance bar for an execution backend is byte-identical results: same
 final statistics, same per-job output and partition output, and identical
 counter totals, for every algorithm — on a seeded synthetic corpus large
-enough to exercise multiple map tasks, reducers and (for APRIORI-SCAN)
-multi-job pipelines.
+enough to exercise multiple map tasks, reducers and (for the APRIORI
+methods) multi-job pipelines.
 """
 
 import pytest
@@ -13,14 +13,13 @@ from repro.algorithms import make_counter
 from repro.config import ExecutionConfig, NGramJobConfig
 from repro.mapreduce.counters import SHUFFLE_SPILLS, SPILLED_RECORDS
 
-ALGORITHMS = ("NAIVE", "APRIORI-SCAN", "SUFFIX-SIGMA")
+ALGORITHMS = ("NAIVE", "APRIORI-SCAN", "APRIORI-INDEX", "SUFFIX-SIGMA")
 
 #: Execution configs under test; ``local`` is the sequential reference.
 #: All runs retain every job's output (the default policy releases
 #: intermediates) so multi-job pipelines can be compared job by job.
 BACKENDS = {
     "local": ExecutionConfig(runner="local", retention="all"),
-    "threads": ExecutionConfig(runner="threads", max_workers=3, retention="all"),
     "processes": ExecutionConfig(runner="processes", max_workers=2, retention="all"),
 }
 
