@@ -233,7 +233,7 @@ class NGramCounter:
         and metrics — the quantities the paper's experiments report — stay
         exactly what the counting jobs produced.
         """
-        from repro.ngramstore.build import build_store
+        from repro.ngramstore.build import sort_into_store
 
         if store is not None and store.min_frequency > 1 and self.config.min_frequency != 1:
             # The algorithms prune below τ at emit time, so a counting run
@@ -248,30 +248,27 @@ class NGramCounter:
             )
 
         vocabulary = getattr(collection, "vocabulary", None)
-        # Unigram aggregates are recorded in the manifest so store-backed
-        # language models construct without scanning the store.
-        unigram_total = 0
-        vocabulary_size = 0
-        for ngram, count in statistics.items():
-            if len(ngram) == 1:
-                unigram_total += count
-                vocabulary_size += 1
-        return build_store(
+        writer = sort_into_store(
             statistics.items(),
             store_dir,
             store=store,
             execution=self.execution,
-            metadata={
+            name=self.name.lower(),
+        )
+        # Unigram aggregates are recorded in the manifest so store-backed
+        # language models construct without scanning the store.
+        writer.commit(
+            {
                 "algorithm": self.name,
                 "min_frequency": self.config.min_frequency,
                 "max_length": self.config.max_length,
                 "num_ngrams": len(statistics),
-                "unigram_total": unigram_total,
-                "vocabulary_size": vocabulary_size,
+                "unigram_total": writer.unigram_total,
+                "vocabulary_size": writer.vocabulary_size,
             },
-            vocabulary=vocabulary,
-            name=self.name.lower(),
+            None if vocabulary is None else vocabulary.to_lines(),
         )
+        return store_dir
 
     # ------------------------------------------------------------ subclass
     def _execute(

@@ -24,9 +24,10 @@ store, both remote clients, and both distributed topologies.  One
 (:mod:`repro.ngramstore.router`) scale reads across replicated and
 range-sharded deployments, and :func:`merge_stores`
 (:mod:`repro.ngramstore.merge`) compacts several stores into one with a
-k-way merge of their sorted tables — exact at any τ thanks to per-store
-residual sidecar tables.  :mod:`repro.ngramstore.analytics` reuses the
-same ordered co-scan for cross-store analytics: :func:`diff_stores` /
+k-way merge-join of their sorted tables — exact at any τ thanks to
+per-store residual sidecar tables — written by the same ``StoreWriter``
+as every build.  :mod:`repro.ngramstore.analytics` reuses the same
+merge-join kernel for cross-store analytics: :func:`diff_stores` /
 :func:`intersect_stores` (and their streaming ``*_records`` twins) compare
 two stores' exact tables and can write the result as a new queryable
 store.  :mod:`repro.ngramstore.lsm` builds the

@@ -2,16 +2,19 @@
 
 The tacl-style text-reuse workloads — "which n-grams are unique to corpus
 A?" (*diff*) and "which n-grams do corpora A and B share, and how often?"
-(*intersect*) — are both one ordered co-scan over two stores: each store
-streams its records in global key order, so a single merge-join visits
-every key of either store exactly once, with O(1) memory and zero index
-lookups.  The scans run over :meth:`~repro.ngramstore.reader.NGramStore.
-exact_items`, i.e. main table *plus* residual sidecar, so a τ>1 store
-contributes its full count table: "absent from B" means *really* absent,
-not merely below B's serving threshold.  Stores that declare τ>1 but carry
-no residual (legacy builds) cannot make that claim — their sub-τ counts
-were dropped at count time — so they are refused unless the caller opts
-into ``allow_thresholded=True``, mirroring the merge's lower-bound guard.
+(*intersect*) — are both one ordered merge-join over two stores: the store
+merge's kernel (:func:`~repro.ngramstore.merge.merge_join`) with its "A and
+not B" (:func:`~repro.ngramstore.merge.difference`) or "A and B"
+(:func:`~repro.ngramstore.merge.intersection`) combine.  Each store streams
+its records in global key order, so the join visits every key of either
+store exactly once, with O(1) memory and zero index lookups.  The scans run
+over :meth:`~repro.ngramstore.reader.NGramStore.exact_items`, i.e. main
+table *plus* residual sidecar, so a τ>1 store contributes its full count
+table: "absent from B" means *really* absent, not merely below B's serving
+threshold.  Stores that declare τ>1 but carry no residual (legacy builds)
+cannot make that claim — their sub-τ counts were dropped at count time — so
+they are refused unless the caller opts into ``allow_thresholded=True``,
+mirroring the merge's lower-bound guard.
 
 Both analytics come in two shapes:
 
@@ -19,10 +22,10 @@ Both analytics come in two shapes:
   yield :class:`~repro.ngramstore.api.NGramRecord` lazily, for pipelines
   and the CLI's stdout mode;
 * **store directories** — :func:`diff_stores` / :func:`intersect_stores`
-  write the result as a regular store (same manifest/partition/table
-  format, reusing the merge's :class:`~repro.ngramstore.merge.
-  _PartitionSink` plumbing), so a diff or intersection is itself
-  queryable, serveable, and mergeable like any other store.
+  write the result through the one
+  :class:`~repro.ngramstore.build.StoreWriter` every build and merge uses
+  (same manifest/partition/table format), so a diff or intersection is
+  itself queryable, serveable, and mergeable like any other store.
 
 Record values: a diff record carries A's count; an intersect record
 carries ``[count_a, count_b]`` (a list, so the value survives JSON wire
@@ -40,47 +43,22 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 from repro.config import StoreConfig
 from repro.exceptions import StoreError
 from repro.ngramstore.api import NGramRecord
-from repro.ngramstore.build import (
-    clear_store_dir,
-    plan_boundaries,
-    write_dictionary,
-    write_store_manifest,
-)
+from repro.ngramstore.build import StoreWriter, count_reaches, validated_min_frequency
 from repro.ngramstore.merge import (
-    _boundary_sample,
-    _merged_vocabulary_lines,
-    _PartitionSink,
-    _residual_exact,
+    difference,
+    intersection,
+    merge_join,
+    plan_store_boundaries,
+    residual_exact,
+    store_vocabulary,
 )
 from repro.ngramstore.reader import NGramStore
 
-Record = Tuple[Any, Any]
 StoreInput = Union[str, NGramStore]
 
-_MISSING = object()
-
-#: Analytics kinds recorded in an output store's manifest metadata.
-ANALYTICS_KINDS = ("diff", "intersect")
-
-
-def _validated_min_frequency(min_frequency: int) -> int:
-    if isinstance(min_frequency, bool) or not isinstance(min_frequency, int):
-        raise StoreError(
-            f"min_frequency must be an integer, got {min_frequency!r}"
-        )
-    if min_frequency < 1:
-        raise StoreError(f"min_frequency must be >= 1, got {min_frequency}")
-    return min_frequency
-
-
-def _count_at_least(key: Any, value: Any, threshold: int) -> bool:
-    """``value >= threshold`` for real counts; non-counts refuse loudly."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise StoreError(
-            f"min_frequency filtering needs integer counts: key {key!r} has "
-            f"{type(value).__name__} value {value!r}"
-        )
-    return value >= threshold
+#: The combine function of each analytics kind, the kind being what an
+#: output store's manifest metadata records.
+_COMBINES = {"diff": difference, "intersect": intersection}
 
 
 def _open_pair(
@@ -114,11 +92,11 @@ def _check_comparable(
     wrong below τ.  ``allow_thresholded`` keeps the comparison over the
     serving views for callers who want exactly that.  Vocabulary agreement
     is checked the same way the merge checks it: persisted dictionaries
-    must match line-for-line, else the id-keyed co-scan would compare
+    must match line-for-line, else the id-keyed join would compare
     unrelated n-grams.
     """
     for open_store in (store_a, store_b):
-        if not _residual_exact(open_store) and not allow_thresholded:
+        if not residual_exact(open_store) and not allow_thresholded:
             raise StoreError(
                 f"cannot compare exactly: {open_store.store_dir!r} declares "
                 f"min_frequency={open_store.min_frequency} but carries no "
@@ -127,34 +105,32 @@ def _check_comparable(
                 "with a residual sidecar, or pass allow_thresholded=True "
                 "(--allow-thresholded) to compare the serving views as-is"
             )
-    return _merged_vocabulary_lines(
-        [store_a.store_dir, store_b.store_dir], [store_a, store_b]
-    )
+    return store_vocabulary([store_a, store_b])
 
 
-def _co_scan(
-    a_records: Iterator[Record], b_records: Iterator[Record]
-) -> Iterator[Tuple[Any, Any, Any]]:
-    """Ordered merge-join: yields ``(key, value_a, value_b)`` for the union.
-
-    Either value is the module-level ``_MISSING`` sentinel when the key is
-    absent from that side.  Both inputs must be sorted by key (which
-    ``exact_items()`` guarantees); each record is visited exactly once.
-    """
-    a_iter, b_iter = iter(a_records), iter(b_records)
-    a = next(a_iter, _MISSING)
-    b = next(b_iter, _MISSING)
-    while a is not _MISSING or b is not _MISSING:
-        if b is _MISSING or (a is not _MISSING and a[0] < b[0]):
-            yield a[0], a[1], _MISSING
-            a = next(a_iter, _MISSING)
-        elif a is _MISSING or b[0] < a[0]:
-            yield b[0], _MISSING, b[1]
-            b = next(b_iter, _MISSING)
-        else:
-            yield a[0], a[1], b[1]
-            a = next(a_iter, _MISSING)
-            b = next(b_iter, _MISSING)
+def _records(
+    kind: str,
+    a: StoreInput,
+    b: StoreInput,
+    min_frequency: int,
+    allow_thresholded: bool,
+) -> Iterator[NGramRecord]:
+    """The ``kind`` join of ``a`` and ``b``, keeping counts ``>= min_frequency``."""
+    min_frequency = validated_min_frequency(min_frequency)
+    store_a, store_b, owned = _open_pair(a, b)
+    try:
+        _check_comparable(store_a, store_b, allow_thresholded)
+        joined = merge_join([store_a.exact_items(), store_b.exact_items()])
+        for key, value in _COMBINES[kind](joined):
+            counts = value if kind == "intersect" else [value]
+            if min_frequency > 1 and not all(
+                count_reaches(key, count, min_frequency) for count in counts
+            ):
+                continue
+            yield NGramRecord(key, value)
+    finally:
+        for opened in owned:
+            opened.close()
 
 
 def diff_records(
@@ -170,21 +146,7 @@ def diff_records(
     *analysis*, not the inputs).  Inputs are store directories or opened
     stores; directories are opened for the duration of the stream.
     """
-    min_frequency = _validated_min_frequency(min_frequency)
-    store_a, store_b, owned = _open_pair(a, b)
-    try:
-        _check_comparable(store_a, store_b, allow_thresholded)
-        for key, value_a, value_b in _co_scan(
-            store_a.exact_items(), store_b.exact_items()
-        ):
-            if value_a is _MISSING or value_b is not _MISSING:
-                continue
-            if min_frequency > 1 and not _count_at_least(key, value_a, min_frequency):
-                continue
-            yield NGramRecord(key, value_a)
-    finally:
-        for opened in owned:
-            opened.close()
+    return _records("diff", a, b, min_frequency, allow_thresholded)
 
 
 def intersect_records(
@@ -198,24 +160,7 @@ def intersect_records(
     Each yielded record's value is ``[count_a, count_b]``.
     ``min_frequency`` keeps only keys reaching the bound in *both* stores.
     """
-    min_frequency = _validated_min_frequency(min_frequency)
-    store_a, store_b, owned = _open_pair(a, b)
-    try:
-        _check_comparable(store_a, store_b, allow_thresholded)
-        for key, value_a, value_b in _co_scan(
-            store_a.exact_items(), store_b.exact_items()
-        ):
-            if value_a is _MISSING or value_b is _MISSING:
-                continue
-            if min_frequency > 1 and not (
-                _count_at_least(key, value_a, min_frequency)
-                and _count_at_least(key, value_b, min_frequency)
-            ):
-                continue
-            yield NGramRecord(key, [value_a, value_b])
-    finally:
-        for opened in owned:
-            opened.close()
+    return _records("intersect", a, b, min_frequency, allow_thresholded)
 
 
 def _write_analytics_store(
@@ -228,7 +173,7 @@ def _write_analytics_store(
     min_frequency: int,
     allow_thresholded: bool,
 ) -> str:
-    min_frequency = _validated_min_frequency(min_frequency)
+    min_frequency = validated_min_frequency(min_frequency)
     store = store if store is not None else StoreConfig()
     store_a, store_b, owned = _open_pair(a, b)
     try:
@@ -242,40 +187,9 @@ def _write_analytics_store(
         # The result's keys are a subset of A's keys (diff and intersect
         # alike), so A's block-index first keys — plus its residual's, which
         # exact_items() also streams — sample the output key distribution.
-        sampled = [store_a]
-        if store_a.residual is not None:
-            sampled.append(store_a.residual)
-        boundaries = plan_boundaries(
-            _boundary_sample(sampled, store.sample_size, store.num_partitions),
-            store.num_partitions,
-        )
-
-        if kind == "diff":
-            records: Iterator[NGramRecord] = diff_records(
-                store_a, store_b, min_frequency, allow_thresholded
-            )
-        elif kind == "intersect":
-            records = intersect_records(
-                store_a, store_b, min_frequency, allow_thresholded
-            )
-        else:
-            raise StoreError(
-                f"unknown analytics kind {kind!r}; expected one of "
-                f"{', '.join(ANALYTICS_KINDS)}"
-            )
-
-        clear_store_dir(out_dir)
-        sink = _PartitionSink(out_dir, store, boundaries)
-        try:
-            for key, value in records:
-                sink.append(key, value)
-            sink.close()
-        except Exception:
-            sink.abort()
-            raise
-
-        if vocabulary_lines is not None:
-            write_dictionary(out_dir, vocabulary_lines)
+        sampled = [store_a] if store_a.residual is None else [store_a, store_a.residual]
+        writer = StoreWriter(out_dir, store, plan_store_boundaries(sampled, store))
+        writer.write(_records(kind, store_a, store_b, min_frequency, allow_thresholded))
         combined: Dict[str, Any] = {
             "analytics": kind,
             "analytics_inputs": [
@@ -286,15 +200,7 @@ def _write_analytics_store(
         }
         if metadata:
             combined.update(metadata)
-        write_store_manifest(
-            out_dir,
-            codec=store.codec,
-            records_per_block=store.records_per_block,
-            boundaries=boundaries,
-            partitions=sink.partitions,
-            has_vocabulary=vocabulary_lines is not None,
-            metadata=combined,
-        )
+        writer.commit(combined, vocabulary_lines)
     finally:
         for opened in owned:
             opened.close()

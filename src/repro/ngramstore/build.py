@@ -1,4 +1,4 @@
-"""Building a store with a total-order-sort MapReduce job.
+"""Writing a store: a total-order-sort MapReduce job into the one store writer.
 
 Hadoop's ``TotalOrderPartitioner`` pattern, reproduced on this engine: the
 input dataset's keys are *sampled* to estimate the key distribution, the
@@ -7,12 +7,20 @@ map/reduce job with a :class:`RangePartitioner` routes every record to the
 partition owning its key range.  The shuffle sorts within each partition
 (natural tuple order), so the job's reduce outputs are ``R`` sorted runs
 whose ranges are disjoint and ordered — partition ``i``'s largest key sorts
-before partition ``i + 1``'s smallest.  Each partition is then streamed
-into one immutable table file, and the boundaries are persisted in the
-store manifest so the reader can route queries the same way the build
-routed records.  At no point is the full record set sorted (or even held)
-in the launcher's memory: sampling streams, the job streams under the
-runner's materialisation policy, and table writing streams per partition.
+before partition ``i + 1``'s smallest — and their concatenation is one
+key-ordered stream.
+
+That stream goes into a :class:`StoreWriter`, the one write path of the
+store layer: :func:`build_store`, the store merge under ``merge-stores``,
+``compact`` and ``rethreshold`` (:mod:`repro.ngramstore.merge`), and the
+diff and intersect stores (:mod:`repro.ngramstore.analytics`) all write
+through it.  The writer routes each record into its partition's immutable
+table with one key comparison against the next boundary, splits main and
+residual tables at τ, and commits the manifests; the boundaries persisted
+there let the reader route queries the same way the writer routed records.
+At no point is the full record set sorted (or even held) in the launcher's
+memory: sampling streams, the job streams under the runner's
+materialisation policy, and table writing streams.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import json
 import os
 import shutil
 from bisect import bisect_right
+from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.config import ExecutionConfig, StoreConfig
@@ -163,12 +172,36 @@ def total_order_sort_job(
     )
 
 
-def _key_to_json(key: Any) -> List[Any]:
-    return list(key)
+def validated_min_frequency(min_frequency: Any) -> int:
+    """τ as every write path takes it: an ``int >= 1`` (a ``bool`` is not one)."""
+    if isinstance(min_frequency, bool) or not isinstance(min_frequency, int):
+        raise StoreError(f"min_frequency must be an integer, got {min_frequency!r}")
+    if min_frequency < 1:
+        raise StoreError(f"min_frequency must be >= 1, got {min_frequency}")
+    return min_frequency
 
 
-def _json_to_key(data: Iterable[Any]) -> Tuple:
-    return tuple(data)
+def count_reaches(key: Any, value: Any, threshold: int) -> bool:
+    """``value >= threshold`` for a real count; anything else refuses loudly.
+
+    Comparing against τ is how records are split (main vs residual) and
+    filtered (the analytics' ``min_frequency``), so a non-integer — or a
+    ``bool``, which would compare as 0/1 — would silently land records on
+    the wrong side.  Counts below 1 mean the input was already τ-filtered:
+    a residual built from it would be incomplete and every later merge
+    silently wrong.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise StoreError(
+            f"min_frequency={threshold} needs integer counts: key {key!r} has "
+            f"{type(value).__name__} value {value!r}"
+        )
+    if value < 1:
+        raise StoreError(
+            f"min_frequency={threshold} saw count {value} for key {key!r}; counts "
+            "must be >= 1 — was the input already frequency-filtered?"
+        )
+    return value >= threshold
 
 
 def clear_store_dir(store_dir: str) -> None:
@@ -191,72 +224,265 @@ def clear_store_dir(store_dir: str) -> None:
             os.remove(os.path.join(store_dir, name))
 
 
-def write_dictionary(store_dir: str, lines: Iterable[str]) -> str:
-    """Persist vocabulary ``lines`` next to the tables; returns the path."""
+def read_dictionary(store_dir: str) -> Optional[List[str]]:
+    """The vocabulary lines persisted in ``store_dir``, or None without one."""
     path = os.path.join(store_dir, DICTIONARY_FILENAME)
-    with open(path, "w", encoding="utf-8") as handle:
-        for line in lines:
-            handle.write(line + "\n")
-    return path
+    if not os.path.isfile(path):
+        return None
+    with open(path, "r", encoding="utf-8") as handle:
+        return [line.rstrip("\n") for line in handle]
 
 
-def write_store_manifest(
+def shared_vocabulary(
+    sources: Iterable[Tuple[str, Optional[Iterable[str]]]]
+) -> Optional[List[str]]:
+    """The vocabulary every source that has one agrees on; None if none has.
+
+    ``sources`` are ``(name, lines)`` pairs, ``lines`` None for a source
+    without a vocabulary.  Store keys are term-identifier tuples, and
+    identifiers are only comparable across stores encoded against the
+    *same* vocabulary, so the merge, the cross-store analytics and LSM
+    ingestion all refuse sources whose dictionaries differ line for line —
+    combining them would silently mix unrelated n-grams.  (Per-shard runs
+    agree by encoding every shard with the shared corpus dictionary.)
+    """
+    reference: Optional[List[str]] = None
+    reference_name = ""
+    for name, lines in sources:
+        if lines is None:
+            continue
+        lines = list(lines)
+        if reference is None:
+            reference, reference_name = lines, name
+        elif lines != reference:
+            raise StoreError(
+                f"different vocabularies: {name} vocabulary disagrees with "
+                f"{reference_name}; encode every input against one shared dictionary"
+            )
+    return reference
+
+
+class StoreWriter:
+    """Writes one key-ordered record stream as a store directory.
+
+    The one write path of the store layer (see the module docstring).  The
+    writer is created with the partition ``boundaries`` and τ
+    (``min_frequency``), and then:
+
+    * clears ``store_dir`` (:func:`clear_store_dir`) on creation, after τ
+      is validated;
+    * :meth:`write` routes each record with one key comparison against the
+      next boundary — partition ``i`` gets exactly the keys
+      :class:`RangePartitioner` sends it, and partitions the stream never
+      reaches are written empty — and with τ above 1 sends counts ``>= τ``
+      to the main tables and the rest to the residual sidecar
+      (:data:`RESIDUAL_DIRNAME`), checking every count once with
+      :func:`count_reaches`; a failure aborts the partial tables;
+    * :meth:`commit` writes the residual manifest, then the dictionary, then
+      the main manifest last: the main manifest is the commit point.
+
+    Record counts and the unigram aggregates the language model reads from
+    manifest metadata (``unigram_total``, ``vocabulary_size``) are exposed
+    once the stream is written.
+    """
+
+    def __init__(
+        self,
+        store_dir: str,
+        store: StoreConfig,
+        boundaries: List[Any],
+        min_frequency: int = 1,
+    ) -> None:
+        self.min_frequency = validated_min_frequency(min_frequency)
+        self.store_dir = store_dir
+        self.store = store
+        self.boundaries = list(boundaries)
+        self.residual_dir: Optional[str] = None
+        if self.min_frequency > 1:
+            self.residual_dir = os.path.join(store_dir, RESIDUAL_DIRNAME)
+        self.partitions: List[Dict[str, Any]] = []
+        self.residual_partitions: List[Dict[str, Any]] = []
+        self._unigrams: List[Any] = []
+        clear_store_dir(store_dir)
+        if self.residual_dir is not None:
+            os.makedirs(self.residual_dir)
+
+    @property
+    def num_records(self) -> int:
+        """Records written to the main tables."""
+        return sum(entry["num_records"] for entry in self.partitions)
+
+    @property
+    def residual_records(self) -> int:
+        """Records written to the residual tables."""
+        return sum(entry["num_records"] for entry in self.residual_partitions)
+
+    @property
+    def unigram_total(self) -> Any:
+        """Sum of the unigram counts written, main and residual alike."""
+        return sum(self._unigrams)
+
+    @property
+    def vocabulary_size(self) -> int:
+        """Number of unigrams written, main and residual alike."""
+        return len(self._unigrams)
+
+    def _open_tables(self) -> Tuple[TableWriter, Optional[TableWriter]]:
+        index = len(self.partitions)
+        name = PARTITION_PATTERN.format(index=index)
+        layout = {
+            "codec": self.store.codec,
+            "records_per_block": self.store.records_per_block,
+            "bloom_bits_per_key": self.store.bloom_bits_per_key,
+        }
+        main = TableWriter(
+            os.path.join(self.store_dir, name), metadata={"partition": index}, **layout
+        )
+        if self.residual_dir is None:
+            return main, None
+        residual = TableWriter(
+            os.path.join(self.residual_dir, name),
+            metadata={"partition": index, "residual": True},
+            **layout,
+        )
+        return main, residual
+
+    def _seal(self, tables: Tuple[TableWriter, Optional[TableWriter]]) -> None:
+        for table, entries in zip(tables, (self.partitions, self.residual_partitions)):
+            if table is not None:
+                path = table.close()
+                entries.append(
+                    {
+                        "file": os.path.basename(path),
+                        "num_records": table.num_records,
+                        "serialized_bytes": table.serialized_bytes,
+                        "file_bytes": os.path.getsize(path),
+                    }
+                )
+
+    def write(self, records: Iterable[Record]) -> None:
+        """Stream key-ordered ``records`` into the partition tables."""
+        threshold = self.min_frequency
+        unigrams = self._unigrams
+        remaining = iter(self.boundaries)
+        bound = next(remaining, None)
+        tables = main, residual = self._open_tables()
+        try:
+            for key, value in records:
+                while bound is not None and not key < bound:
+                    self._seal(tables)
+                    tables = main, residual = self._open_tables()
+                    bound = next(remaining, None)
+                if len(key) == 1:
+                    unigrams.append(value)
+                if residual is None or count_reaches(key, value, threshold):
+                    main.append(key, value)
+                else:
+                    residual.append(key, value)
+            self._seal(tables)
+            while len(self.partitions) <= len(self.boundaries):
+                tables = self._open_tables()
+                self._seal(tables)
+        except BaseException:
+            for table in tables:
+                if table is not None:
+                    table.abort()
+            raise
+
+    def commit(
+        self,
+        metadata: Optional[Dict[str, Any]] = None,
+        vocabulary_lines: Optional[Iterable[str]] = None,
+    ) -> Dict[str, Any]:
+        """Write the manifests and the dictionary; returns the main manifest.
+
+        With a residual, the main manifest records it and its metadata is
+        stamped with the writer's τ, so the two can never disagree.
+        """
+        metadata = dict(metadata) if metadata else {}
+        residual: Optional[Dict[str, Any]] = None
+        if self.residual_dir is not None:
+            self._write_manifest(
+                self.residual_dir,
+                self.residual_partitions,
+                {"residual": True, "residual_below": self.min_frequency, "min_frequency": 1},
+            )
+            residual = {
+                "directory": RESIDUAL_DIRNAME,
+                "below": self.min_frequency,
+                "num_records": self.residual_records,
+            }
+            metadata["min_frequency"] = self.min_frequency
+        if vocabulary_lines is not None:
+            path = os.path.join(self.store_dir, DICTIONARY_FILENAME)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.writelines(line + "\n" for line in vocabulary_lines)
+        return self._write_manifest(
+            self.store_dir, self.partitions, metadata, vocabulary_lines is not None, residual
+        )
+
+    def _write_manifest(
+        self,
+        directory: str,
+        partitions: List[Dict[str, Any]],
+        metadata: Dict[str, Any],
+        has_vocabulary: bool = False,
+        residual: Optional[Dict[str, Any]] = None,
+    ) -> Dict[str, Any]:
+        """Write one manifest atomically: readers see the old file or the new one."""
+        manifest = {
+            "version": MANIFEST_VERSION,
+            "codec": self.store.codec,
+            "records_per_block": self.store.records_per_block,
+            "num_partitions": len(partitions),
+            "boundaries": [list(boundary) for boundary in self.boundaries],
+            "partitions": partitions,
+            "num_records": sum(entry["num_records"] for entry in partitions),
+            "serialized_bytes": sum(entry["serialized_bytes"] for entry in partitions),
+            "has_vocabulary": has_vocabulary,
+            "metadata": metadata,
+        }
+        if residual is not None:
+            manifest["residual"] = residual
+        path = os.path.join(directory, MANIFEST_FILENAME)
+        with open(path + ".tmp", "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=True)
+        os.replace(path + ".tmp", path)
+        return manifest
+
+
+def sort_into_store(
+    records: Any,
     store_dir: str,
-    *,
-    codec: str,
-    records_per_block: int,
-    boundaries: List[Any],
-    partitions: List[Dict[str, Any]],
-    has_vocabulary: bool,
-    metadata: Optional[Dict[str, Any]] = None,
-    residual: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Write the store manifest (shared by the build job and the store merge).
+    store: Optional[StoreConfig] = None,
+    execution: Optional[ExecutionConfig] = None,
+    pipeline: Optional[JobPipeline] = None,
+    name: str = "ngramstore",
+) -> StoreWriter:
+    """Sample, total-order sort and write ``records`` as ``store_dir``'s tables.
 
-    ``residual`` describes the store's residual sidecar table (see
-    :data:`RESIDUAL_DIRNAME`) when one was written — e.g. ``{"directory":
-    "residual", "below": 3, "num_records": 17}``.  Old readers ignore the
-    extra manifest entry, so the manifest version is unchanged.
+    The work of :func:`build_store` short of the commit: returns the
+    :class:`StoreWriter` with every table written and no manifest yet, for
+    a caller whose manifest metadata depends on what was written (a
+    counting run records the writer's unigram aggregates).
     """
-    manifest = {
-        "version": MANIFEST_VERSION,
-        "codec": codec,
-        "records_per_block": records_per_block,
-        "num_partitions": len(partitions),
-        "boundaries": [_key_to_json(boundary) for boundary in boundaries],
-        "partitions": partitions,
-        "num_records": sum(entry["num_records"] for entry in partitions),
-        "serialized_bytes": sum(entry["serialized_bytes"] for entry in partitions),
-        "has_vocabulary": has_vocabulary,
-        "metadata": dict(metadata) if metadata else {},
-    }
-    if residual is not None:
-        manifest["residual"] = dict(residual)
-    with open(os.path.join(store_dir, MANIFEST_FILENAME), "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-    return manifest
-
-
-def _check_splittable_count(key: Any, value: Any, threshold: int) -> None:
-    """A record routed to main-vs-residual must carry a real count ``>= 1``.
-
-    Splitting compares the value against τ, so a non-integer (or a ``bool``,
-    which would compare as 0/1) would silently land records in the wrong
-    table — refuse instead.  Counts below 1 mean the input was already
-    τ-filtered, so the residual would be incomplete and every later merge
-    silently wrong.
-    """
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise StoreError(
-            f"residual split needs integer counts: key {key!r} has "
-            f"{type(value).__name__} value {value!r} (building with "
-            f"min_frequency={threshold} requires a raw count table)"
-        )
-    if value < 1:
-        raise StoreError(
-            f"residual split saw count {value} for key {key!r}; counts must be "
-            ">= 1 — was the input already frequency-filtered?"
-        )
+    store = store if store is not None else StoreConfig()
+    if pipeline is None:
+        pipeline = JobPipeline(runner=make_runner(execution))
+    if isinstance(records, Dataset):
+        dataset = records
+    else:
+        dataset = pipeline.materialize_input(iter(records), name=f"{name}-input")
+    boundaries = plan_boundaries(
+        sample_keys(dataset, store.sample_size), store.num_partitions
+    )
+    writer = StoreWriter(store_dir, store, boundaries, store.min_frequency)
+    result = pipeline.run_job(total_order_sort_job(f"{name}-total-order-sort", boundaries), dataset)
+    writer.write(
+        chain.from_iterable(partition.iter_records() for partition in result.partition_datasets)
+    )
+    result.release_output()
+    return writer
 
 
 def build_store(
@@ -291,104 +517,24 @@ def build_store(
 
     Returns ``store_dir``.
     """
-    store = store if store is not None else StoreConfig()
-    clear_store_dir(store_dir)
-    if pipeline is None:
-        runner = make_runner(execution)
-        pipeline = JobPipeline(runner=runner)
-
-    if isinstance(records, Dataset):
-        dataset = records
-    else:
-        dataset = pipeline.materialize_input(iter(records), name=f"{name}-input")
-
-    boundaries = plan_boundaries(
-        sample_keys(dataset, store.sample_size), store.num_partitions
-    )
-    job = total_order_sort_job(f"{name}-total-order-sort", boundaries)
-    result = pipeline.run_job(job, dataset)
-
-    threshold = store.min_frequency
-    residual_dir = os.path.join(store_dir, RESIDUAL_DIRNAME)
-    if threshold > 1:
-        os.makedirs(residual_dir, exist_ok=True)
-
-    def _partition_entry(path: str, writer: TableWriter) -> Dict[str, Any]:
-        return {
-            "file": os.path.basename(path),
-            "num_records": writer.num_records,
-            "serialized_bytes": writer.serialized_bytes,
-            "file_bytes": os.path.getsize(path),
-        }
-
-    partitions: List[Dict[str, Any]] = []
-    residual_partitions: List[Dict[str, Any]] = []
-    for index, partition in enumerate(result.partition_datasets):
-        path = os.path.join(store_dir, PARTITION_PATTERN.format(index=index))
-        with TableWriter(
-            path,
-            codec=store.codec,
-            records_per_block=store.records_per_block,
-            metadata={"partition": index},
-            bloom_bits_per_key=store.bloom_bits_per_key,
-        ) as writer:
-            if threshold <= 1:
-                writer.extend(partition.iter_records())
-            else:
-                residual_path = os.path.join(
-                    residual_dir, PARTITION_PATTERN.format(index=index)
-                )
-                with TableWriter(
-                    residual_path,
-                    codec=store.codec,
-                    records_per_block=store.records_per_block,
-                    metadata={"partition": index, "residual": True},
-                    bloom_bits_per_key=store.bloom_bits_per_key,
-                ) as residual_writer:
-                    for key, value in partition.iter_records():
-                        _check_splittable_count(key, value, threshold)
-                        if value >= threshold:
-                            writer.append(key, value)
-                        else:
-                            residual_writer.append(key, value)
-                residual_partitions.append(_partition_entry(residual_path, residual_writer))
-        partitions.append(_partition_entry(path, writer))
-    result.release_output()
-
-    has_vocabulary = vocabulary is not None
-    if has_vocabulary:
-        write_dictionary(store_dir, vocabulary.to_lines())
-
-    residual_entry: Optional[Dict[str, Any]] = None
-    if threshold > 1:
-        metadata = dict(metadata) if metadata else {}
-        metadata["min_frequency"] = threshold
-        write_store_manifest(
-            residual_dir,
-            codec=store.codec,
-            records_per_block=store.records_per_block,
-            boundaries=boundaries,
-            partitions=residual_partitions,
-            has_vocabulary=False,
-            metadata={"residual": True, "residual_below": threshold, "min_frequency": 1},
-        )
-        residual_entry = {
-            "directory": RESIDUAL_DIRNAME,
-            "below": threshold,
-            "num_records": sum(entry["num_records"] for entry in residual_partitions),
-        }
-
-    write_store_manifest(
-        store_dir,
-        codec=store.codec,
-        records_per_block=store.records_per_block,
-        boundaries=boundaries,
-        partitions=partitions,
-        has_vocabulary=has_vocabulary,
-        metadata=metadata,
-        residual=residual_entry,
-    )
+    writer = sort_into_store(records, store_dir, store, execution, pipeline, name)
+    writer.commit(metadata, None if vocabulary is None else vocabulary.to_lines())
     return store_dir
+
+
+def read_manifest_file(path: str) -> Dict[str, Any]:
+    """Parse the manifest at ``path``; a torn or non-object file is a StoreError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except ValueError as exc:
+        raise StoreError(f"corrupt manifest {path!r}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise StoreError(
+            f"corrupt manifest {path!r}: expected a JSON object, "
+            f"got {type(manifest).__name__}"
+        )
+    return manifest
 
 
 def load_manifest(store_dir: str) -> Dict[str, Any]:
@@ -396,8 +542,7 @@ def load_manifest(store_dir: str) -> Dict[str, Any]:
     path = os.path.join(store_dir, MANIFEST_FILENAME)
     if not os.path.exists(path):
         raise StoreError(f"no store manifest ({MANIFEST_FILENAME}) in {store_dir!r}")
-    with open(path, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
+    manifest = read_manifest_file(path)
     version = manifest.get("version")
     if version != MANIFEST_VERSION:
         raise StoreError(
@@ -408,7 +553,7 @@ def load_manifest(store_dir: str) -> Dict[str, Any]:
 
 def manifest_boundaries(manifest: Dict[str, Any]) -> List[Tuple]:
     """The manifest's partition boundaries as key tuples."""
-    return [_json_to_key(boundary) for boundary in manifest["boundaries"]]
+    return [tuple(boundary) for boundary in manifest["boundaries"]]
 
 
 def iter_statistics_records(statistics: Any) -> Iterator[Record]:

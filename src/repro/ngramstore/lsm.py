@@ -18,7 +18,9 @@ layer into a small LSM tree instead:
 * :class:`GenerationView` serves the live generations as one
   :class:`~repro.ngramstore.api.StoreAPI`: point lookups and scans *sum*
   counts across generations (each document batch was counted exactly once,
-  so summing main-table counts is the union count), top-k is exact via the
+  so summing main-table counts is the union count) — a scan is the store
+  merge's kernel, ``summed(merge_join(...))``, and a lookup adds with the
+  same :func:`~repro.ngramstore.merge.sum_values` — top-k is exact via the
   shared :class:`~repro.ngramstore.table.TopKAccumulator`, and every
   generation reads through one shared block cache — so ``repro serve`` and
   the whole distributed tier serve an ingesting store unchanged.
@@ -38,21 +40,23 @@ import os
 import shutil
 import time
 from dataclasses import asdict
-from functools import reduce
-from operator import add
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.config import ExecutionConfig, StoreConfig
 from repro.exceptions import StoreError
 from repro.ngramstore.api import StoreAPI
-from repro.ngramstore.build import DICTIONARY_FILENAME, build_store
-from repro.ngramstore.merge import _merge_streams, merge_stores
+from repro.ngramstore.build import (
+    build_store,
+    read_dictionary,
+    read_manifest_file,
+    shared_vocabulary,
+    validated_min_frequency,
+)
+from repro.ngramstore.merge import ABSENT, merge_join, merge_stores, sum_values, summed
 from repro.ngramstore.reader import NGramStore
 from repro.ngramstore.table import DEFAULT_CACHE_BLOCKS, BlockCache, TopKAccumulator
 
 Record = Tuple[Any, Any]
-
-_MISSING = object()
 
 #: The LSM directory's manifest file, listing the ordered generations.
 #: (Upper-case on purpose: it is the marker distinguishing an LSM directory
@@ -122,8 +126,7 @@ class LSMStore:
             raise StoreError(
                 f"{root!r} holds a plain store; an LSM store needs its own directory"
             )
-        if min_frequency < 1:
-            raise StoreError(f"min_frequency must be >= 1, got {min_frequency}")
+        min_frequency = validated_min_frequency(min_frequency)
         os.makedirs(root, exist_ok=True)
         store = store if store is not None else StoreConfig()
         manifest = {
@@ -149,8 +152,7 @@ class LSMStore:
                 f"no LSM manifest ({LSM_MANIFEST_FILENAME}) in {root!r}; "
                 "create one with `repro ingest --init` or LSMStore.init"
             )
-        with open(path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        manifest = read_manifest_file(path)
         version = manifest.get("version")
         if version != LSM_MANIFEST_VERSION:
             raise StoreError(
@@ -201,19 +203,15 @@ class LSMStore:
         if vocabulary is None:
             return
         for entry in self.manifest["generations"]:
-            path = os.path.join(self.generation_dir(entry["name"]), DICTIONARY_FILENAME)
-            if not os.path.isfile(path):
-                continue
-            with open(path, "r", encoding="utf-8") as handle:
-                reference = [line.rstrip("\n") for line in handle]
-            lines = list(vocabulary.to_lines())
-            if lines != reference:
-                raise StoreError(
-                    f"ingest batch vocabulary disagrees with generation "
-                    f"{entry['name']!r}; encode every batch against the same "
-                    "shared dictionary"
+            lines = read_dictionary(self.generation_dir(entry["name"]))
+            if lines is not None:
+                shared_vocabulary(
+                    [
+                        (f"generation {entry['name']!r}", lines),
+                        ("ingest batch", vocabulary.to_lines()),
+                    ]
                 )
-            return
+                return
 
     def _register_generation(
         self, name: str, source: Optional[str], min_frequency: int
@@ -503,26 +501,14 @@ class GenerationView(StoreAPI):
         """Point lookup summed across generations."""
         self._check_open()
         key = tuple(ngram)
-        found: List[Any] = []
-        for store in self.stores:
-            value = store.get(key, _MISSING)
-            if value is not _MISSING:
-                found.append(value)
-        if not found:
-            return default
-        if len(found) == 1:
-            return found[0]
-        try:
-            return reduce(add, found)
-        except TypeError as exc:
-            raise StoreError(
-                f"cannot sum {len(found)} generation values for key {key!r}: {exc}"
-            ) from exc
+        found = [store.get(key, ABSENT) for store in self.stores]
+        found = [value for value in found if value is not ABSENT]
+        return sum_values(key, found) if found else default
 
     def scan(self, start: Any = None, stop: Any = None) -> Iterator[Record]:
-        """Merged scan: generation streams k-way merged, duplicate keys summed."""
+        """Merged scan: the generations' streams merge-joined, duplicate keys summed."""
         self._check_open()
-        return _merge_streams(store.scan(start=start, stop=stop) for store in self.stores)
+        return summed(merge_join(store.scan(start=start, stop=stop) for store in self.stores))
 
     def top_k_into(self, accumulator: TopKAccumulator) -> None:
         """Exact top-k candidates over the *summed* counts.

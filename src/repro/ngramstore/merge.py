@@ -1,33 +1,42 @@
-"""Compaction: k-way merge of several stores into one.
+"""Store merging, on the one merge-join kernel every multi-store stream uses.
 
-Each input store streams its records in global key order (the reader
-chains its sorted, disjoint partitions), so merging stores is a single
-``heapq.merge`` over ``k`` sorted streams — the LSM/SSTable compaction
+**The kernel.** :func:`merge_join` walks ``k`` key-sorted record streams at
+once and yields every key with its values *by input* (:data:`ABSENT` where
+an input lacks the key): one ``heapq.merge`` plus one ``groupby``, so no
+per-record heap loop runs in Python.  Three small combine functions sit on
+top — :func:`summed` (a key's values added by :func:`sum_values`, the one
+duplicate-key sum of the store layer), :func:`difference` ("A and not B")
+and :func:`intersection` ("A and B").  The store merge below, the LSM
+view's scan and point lookup (:mod:`repro.ngramstore.lsm`) and the
+cross-store analytics (:mod:`repro.ngramstore.analytics`) are each a kernel
+call plus one combine.
+
+**The merge.** Each input store streams its records in global key order
+(the reader chains its sorted, disjoint partitions), so merging stores is
+``summed(merge_join(...))`` written by one
+:class:`~repro.ngramstore.build.StoreWriter` — the LSM/SSTable compaction
 idiom, and the MapReduce-free analogue of re-running the total-order-sort
-job over the union.  Duplicate keys (the same n-gram counted in several
-per-shard runs) are summed; partition boundaries are re-derived from the
-inputs' block-index first keys (a records-proportional sample that costs
-zero data-block reads, fed to the same quantile planning the build job
-uses) so the output's partitioning reflects the merged key distribution,
-not any single input's.
-
-Nothing is materialised: boundary planning reads only the block indexes,
-the merge itself is one streaming pass over the inputs, and each output
-partition is written by one :class:`~repro.ngramstore.table.TableWriter`
-as the merged stream crosses its boundaries.
+job over the union.  Partition boundaries come from
+:func:`plan_store_boundaries`: the inputs' block-index first keys (a
+records-proportional sample that costs zero data-block reads) fed to the
+same quantile planning the build job uses, so the output's partitioning
+reflects the merged key distribution, not any single input's.  Nothing is
+materialised: planning reads only the block indexes, and the merge itself
+is one streaming pass over the inputs.
 
 **Exactness at any τ.**  Raw (τ=1) counts are additive across a document
 partition, so τ=1 stores always merge exactly.  A τ>1 store merges exactly
 when it carries its *residual* sidecar table (counts in ``[1, τ)``, written
 by builds with ``StoreConfig(min_frequency=τ)``): the merge streams main
 and residual together per input — recovering each shard's full count
-table — sums duplicates, routes summed counts ``>= τ`` to the merged main
-store and the rest to a merged residual, so a key locally under τ in every
-shard still surfaces when its union count crosses τ.  Legacy τ>1 stores
-*without* residuals dropped those counts at count time; merging k ≥ 2 of
-them can only produce a lower bound on a union recount, so the merge
-refuses unless ``allow_lower_bound`` is passed, which stamps the output's
-metadata with ``counts: lower_bound`` so the claim travels with the store.
+table — sums duplicates, and the writer routes summed counts ``>= τ`` to
+the merged main store and the rest to a merged residual, so a key locally
+under τ in every shard still surfaces when its union count crosses τ.
+Legacy τ>1 stores *without* residuals dropped those counts at count time;
+merging k ≥ 2 of them can only produce a lower bound on a union recount, so
+the merge refuses unless ``allow_lower_bound`` is passed, which stamps the
+output's metadata with ``counts: lower_bound`` so the claim travels with
+the store.
 """
 
 from __future__ import annotations
@@ -35,69 +44,123 @@ from __future__ import annotations
 import heapq
 import os
 import warnings
-from bisect import bisect_right
 from functools import reduce
-from itertools import groupby
+from itertools import chain, groupby, islice, repeat
 from operator import add, itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.config import StoreConfig
 from repro.exceptions import StoreError
 from repro.ngramstore.build import (
-    DICTIONARY_FILENAME,
-    PARTITION_PATTERN,
-    RESIDUAL_DIRNAME,
-    _check_splittable_count,
-    clear_store_dir,
+    StoreWriter,
     plan_boundaries,
-    write_dictionary,
-    write_store_manifest,
+    read_dictionary,
+    shared_vocabulary,
+    validated_min_frequency,
 )
 from repro.ngramstore.reader import NGramStore
-from repro.ngramstore.table import TableWriter
 
 Record = Tuple[Any, Any]
+Joined = Iterable[Tuple[Any, List[Any]]]
+
+#: What :func:`merge_join` reports for an input that does not hold a key.
+ABSENT = object()
 
 _FIRST = itemgetter(0)
 
-_SENTINEL = object()
 
+def merge_join(streams: Iterable[Iterable[Record]]) -> Iterator[Tuple[Any, List[Any]]]:
+    """Yield ``(key, values_by_input)`` over k key-sorted record streams.
 
-def _merge_streams(streams: Iterable[Iterator[Record]]) -> Iterator[Record]:
-    """K-way merge of sorted record streams, summing duplicate keys.
-
-    Values of a duplicated key are combined with ``+`` left-to-right in
-    input order, so integer frequencies sum; values that do not support
-    addition (e.g. time-series payloads) make a duplicate a
-    :class:`StoreError` instead of silently dropping data.
+    Every key of any input is yielded once, in key order, with a list whose
+    ``i``-th entry is input ``i``'s value for it, or :data:`ABSENT`.  Records
+    are ``(key, value)`` tuples with keys unique within each stream (a
+    store's are).  Each record is tagged with its input's position by a
+    C-level ``map``; ``heapq.merge`` is stable, so a key's values arrive in
+    input order, and ``groupby`` cuts the merged stream into keys.
     """
-    merged = heapq.merge(*streams, key=_FIRST)
-    for key, group in groupby(merged, key=_FIRST):
-        values = [value for _, value in group]
-        if len(values) == 1:
-            yield key, values[0]
-            continue
-        try:
-            yield key, reduce(add, values)
-        except TypeError as exc:
-            raise StoreError(
-                f"cannot merge duplicate key {key!r}: its {len(values)} values "
-                f"do not support addition ({exc})"
-            ) from exc
+    streams = list(streams)
+    if len(streams) == 1:
+        return ((key, [value]) for key, value in streams[0])
+    tagged = (map(add, stream, repeat((index,))) for index, stream in enumerate(streams))
+    return _by_input(groupby(heapq.merge(*tagged, key=_FIRST), key=_FIRST), len(streams))
 
 
-def merge_records(stores: Iterable[NGramStore]) -> Iterator[Record]:
-    """K-way merge of the stores' *main* record streams, summing duplicates.
+def _by_input(groups: Iterator[Tuple[Any, Iterator[Tuple]]], width: int) -> Iterator:
+    for key, group in groups:
+        values = [ABSENT] * width
+        for _, value, index in group:
+            values[index] = value
+        yield key, values
 
-    Streams each store's :meth:`~repro.ngramstore.reader.NGramStore.items`
-    — residual sidecars are not consulted; :func:`merge_stores` streams
-    :meth:`~repro.ngramstore.reader.NGramStore.exact_items` instead when it
-    performs an exact τ-aware merge.
+
+def sum_values(key: Any, values: List[Any]) -> Any:
+    """The one duplicate-key sum: ``values`` added with ``+`` in input order.
+
+    Integer frequencies sum; values that do not support addition (e.g.
+    time-series payloads) make a duplicate a :class:`StoreError` instead of
+    silently dropping data.
     """
-    return _merge_streams(store.items() for store in stores)
+    if len(values) == 1:
+        return values[0]
+    try:
+        return reduce(add, values)
+    except TypeError as exc:
+        raise StoreError(
+            f"cannot merge duplicate key {key!r}: its {len(values)} values "
+            f"do not support addition ({exc})"
+        ) from exc
 
 
-def _residual_exact(store: NGramStore) -> bool:
+def summed(joined: Joined) -> Iterator[Record]:
+    """Combine: every key once, its present values summed by :func:`sum_values`."""
+    for key, values in joined:
+        yield key, sum_values(key, [value for value in values if value is not ABSENT])
+
+
+def difference(joined: Joined) -> Iterator[Record]:
+    """Combine: the keys only the first input holds, with its value ("A and not B")."""
+    for key, (first, *rest) in joined:
+        if first is not ABSENT and all(value is ABSENT for value in rest):
+            yield key, first
+
+
+def intersection(joined: Joined) -> Iterator[Record]:
+    """Combine: the keys every input holds, with the values by input ("A and B")."""
+    for key, values in joined:
+        if all(value is not ABSENT for value in values):
+            yield key, values
+
+
+def plan_store_boundaries(stores: List[NGramStore], store: StoreConfig) -> List[Any]:
+    """Partition boundaries for a store written from ``stores``' merged keys.
+
+    Every table's index carries one first key per block, so the union of
+    the inputs' block first keys is a records-proportional sample of the
+    merged key space — no data block is decoded to plan boundaries, which
+    keeps a merge a single streaming pass over block payloads.  Small
+    stores (fewer blocks than ~8 keys per requested partition) are too
+    coarse for quantiles at that granularity; they fall back to a strided
+    sample of every input record, whose extra pass is cheap precisely
+    because the stores are small.  Either way the sample is strided down to
+    ``store.sample_size`` keys and planned by :func:`plan_boundaries`, the
+    build job's quantile planner.
+    """
+    sample_size = store.sample_size
+    keys = sorted(chain.from_iterable(source.block_first_keys() for source in stores))
+    if len(keys) < min(sample_size, 8 * store.num_partitions):
+        stride = max(1, -(-sum(len(source) for source in stores) // sample_size))
+        records = chain.from_iterable(
+            repeat(key, sum(value is not ABSENT for value in values))
+            for key, values in merge_join(source.items() for source in stores)
+        )
+        keys = list(islice(records, 0, None, stride))
+    elif len(keys) > sample_size:
+        keys = keys[:: -(-len(keys) // sample_size)]
+    return plan_boundaries(keys, store.num_partitions)
+
+
+def residual_exact(store: NGramStore) -> bool:
     """Can this input contribute *exact* union counts to a merge?
 
     True for τ=1 stores (raw counts are additive) and for τ>1 stores that
@@ -110,42 +173,28 @@ def _residual_exact(store: NGramStore) -> bool:
     return store.min_frequency <= 1 or store.has_residual
 
 
-def _merged_vocabulary_lines(
-    inputs: List[str], stores: List[NGramStore]
-) -> Optional[List[str]]:
-    """The common vocabulary of the inputs, or None when none persisted one.
+def store_vocabulary(stores: Iterable[NGramStore]) -> Optional[List[str]]:
+    """The dictionary the vocabulary-bearing ``stores`` share, or None.
 
-    Store keys are term-identifier tuples, and identifiers are only
-    comparable across stores encoded against the *same* vocabulary — so
-    inputs that persisted one must agree line-for-line.  (Per-shard runs
-    satisfy this by encoding every shard with the shared corpus
-    dictionary.)  Mismatching vocabularies would silently merge unrelated
-    n-grams; refuse instead.
+    :func:`~repro.ngramstore.build.shared_vocabulary` over the dictionaries
+    of the stores whose manifests say they persisted one.
     """
-    reference: Optional[List[str]] = None
-    reference_dir: Optional[str] = None
-    for store_dir, store in zip(inputs, stores):
-        if not store.manifest.get("has_vocabulary"):
-            continue
-        path = os.path.join(store_dir, DICTIONARY_FILENAME)
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.rstrip("\n") for line in handle]
-        if reference is None:
-            reference, reference_dir = lines, store_dir
-        elif lines != reference:
-            raise StoreError(
-                f"cannot merge stores with different vocabularies: {store_dir!r} "
-                f"disagrees with {reference_dir!r}; re-count the shards against "
-                "one shared dictionary"
-            )
-    return reference
+    return shared_vocabulary(
+        (
+            repr(open_store.store_dir),
+            read_dictionary(open_store.store_dir)
+            if open_store.manifest.get("has_vocabulary")
+            else None,
+        )
+        for open_store in stores
+    )
 
 
 def _merged_metadata(
     inputs: List[str],
     stores: List[NGramStore],
     metadata: Optional[Dict[str, Any]],
-    overrides: Optional[Dict[str, Any]] = None,
+    overrides: Dict[str, Any],
 ) -> Dict[str, Any]:
     """Manifest metadata for the merged store.
 
@@ -159,17 +208,17 @@ def _merged_metadata(
     is not a total (it would sum as 0/1), and when only *some* inputs carry
     a usable total the field is dropped with a warning — a silently absent
     total sends ``NGramLanguageModel.from_store`` into a full store scan.
-    ``overrides`` are values the merge itself computed exactly (e.g. a
-    streamed unigram recount); explicit ``metadata`` wins over everything.
+    ``overrides`` are values the merge itself computed exactly (e.g. the
+    writer's unigram aggregates); explicit ``metadata`` wins over everything.
     """
     merged: Dict[str, Any] = {}
     first, rest = stores[0].metadata, [store.metadata for store in stores[1:]]
     for key, value in first.items():
         if key in ("unigram_total", "num_ngrams"):
             continue
-        if all(other.get(key, _SENTINEL) == value for other in rest):
+        if all(other.get(key, ABSENT) == value for other in rest):
             merged[key] = value
-    if not overrides or "unigram_total" not in overrides:
+    if "unigram_total" not in overrides:
         unigram_totals = [store.metadata.get("unigram_total") for store in stores]
         usable = [
             total
@@ -193,106 +242,10 @@ def _merged_metadata(
             )
     merged["merged_inputs"] = [os.path.basename(os.path.normpath(path)) for path in inputs]
     merged["merged_num_inputs"] = len(inputs)
-    if overrides:
-        merged.update(overrides)
+    merged.update(overrides)
     if metadata:
         merged.update(metadata)
     return merged
-
-
-def _boundary_sample(
-    stores: List[NGramStore], sample_size: int, num_partitions: int
-) -> List[Any]:
-    """Keys sampling the merged distribution, preferably from indexes alone.
-
-    Every table's index carries one first key per block, so the union of
-    the inputs' block first keys is a records-proportional sample of the
-    merged key space — no data block is decoded to plan boundaries, which
-    keeps the merge a single streaming pass over block payloads.  Small
-    stores (fewer blocks than ~8 keys per requested partition) are too
-    coarse for quantiles at that granularity; they fall back to a strided
-    record-level sample, whose extra pass is cheap precisely because the
-    stores are small.  Either way the result is strided down to
-    ``sample_size`` keys.
-    """
-    keys: List[Any] = []
-    for open_store in stores:
-        keys.extend(open_store.block_first_keys())
-    keys.sort()
-    if len(keys) < min(sample_size, 8 * num_partitions):
-        total = sum(len(open_store) for open_store in stores)
-        stride = max(1, -(-total // sample_size))  # ceil division
-        merged = heapq.merge(*(open_store.items() for open_store in stores), key=_FIRST)
-        return [key for position, (key, _) in enumerate(merged) if position % stride == 0]
-    if len(keys) > sample_size:
-        stride = max(1, -(-len(keys) // sample_size))
-        keys = keys[::stride]
-    return keys
-
-
-class _PartitionSink:
-    """Writes one sorted record stream into boundary-aligned partition tables.
-
-    The stream's keys are non-decreasing, so each partition table is
-    written exactly once, in order; trailing partitions the stream never
-    reached are created empty so the manifest's partition count always
-    matches the boundary count.
-    """
-
-    def __init__(
-        self,
-        out_dir: str,
-        store: StoreConfig,
-        boundaries: List[Any],
-        residual: bool = False,
-    ) -> None:
-        self.out_dir = out_dir
-        self.store = store
-        self.boundaries = boundaries
-        self.residual = residual
-        self.partitions: List[Dict[str, Any]] = []
-        self.num_records = 0
-        self._writer = self._open_writer()
-
-    def _open_writer(self) -> TableWriter:
-        index = len(self.partitions)
-        metadata: Dict[str, Any] = {"partition": index}
-        if self.residual:
-            metadata["residual"] = True
-        return TableWriter(
-            os.path.join(self.out_dir, PARTITION_PATTERN.format(index=index)),
-            codec=self.store.codec,
-            records_per_block=self.store.records_per_block,
-            metadata=metadata,
-            bloom_bits_per_key=self.store.bloom_bits_per_key,
-        )
-
-    def _finish_writer(self) -> None:
-        path = self._writer.close()
-        self.partitions.append(
-            {
-                "file": os.path.basename(path),
-                "num_records": self._writer.num_records,
-                "serialized_bytes": self._writer.serialized_bytes,
-                "file_bytes": os.path.getsize(path),
-            }
-        )
-
-    def append(self, key: Any, value: Any) -> None:
-        while bisect_right(self.boundaries, key) > len(self.partitions):
-            self._finish_writer()
-            self._writer = self._open_writer()
-        self._writer.append(key, value)
-        self.num_records += 1
-
-    def close(self) -> None:
-        self._finish_writer()
-        while len(self.partitions) < len(self.boundaries) + 1:
-            self._writer = self._open_writer()
-            self._finish_writer()
-
-    def abort(self) -> None:
-        self._writer.abort()
 
 
 def merge_stores(
@@ -332,31 +285,29 @@ def merge_stores(
         if os.path.abspath(path) == os.path.abspath(out_dir):
             raise StoreError(f"merge output {out_dir!r} cannot be one of the inputs")
     store = store if store is not None else StoreConfig()
-    if min_frequency is not None and min_frequency < 1:
-        raise StoreError(f"merge min_frequency must be >= 1, got {min_frequency}")
+    if min_frequency is not None:
+        min_frequency = validated_min_frequency(min_frequency)
 
     opened = [NGramStore.open(path) for path in input_dirs]
     try:
         inexact = [
             path
             for path, open_store in zip(input_dirs, opened)
-            if not _residual_exact(open_store)
+            if not residual_exact(open_store)
         ]
         exact = not inexact
-        lower_bound = False
-        if not exact and len(opened) > 1:
-            if not allow_lower_bound:
-                raise StoreError(
-                    f"cannot merge exactly: {inexact[0]!r} declares "
-                    f"min_frequency > 1 but carries no residual table, so its "
-                    "counts in [1, τ) were dropped at count time and the merged "
-                    "counts would silently undercount the union; rebuild the "
-                    "shards with a residual sidecar (count at τ=1 with "
-                    "StoreConfig(min_frequency=τ)), or pass "
-                    "allow_lower_bound=True to keep the old behaviour and stamp "
-                    "the output metadata with counts=lower_bound"
-                )
-            lower_bound = True
+        lower_bound = not exact and len(opened) > 1
+        if lower_bound and not allow_lower_bound:
+            raise StoreError(
+                f"cannot merge exactly: {inexact[0]!r} declares "
+                f"min_frequency > 1 but carries no residual table, so its "
+                "counts in [1, τ) were dropped at count time and the merged "
+                "counts would silently undercount the union; rebuild the "
+                "shards with a residual sidecar (count at τ=1 with "
+                "StoreConfig(min_frequency=τ)), or pass "
+                "allow_lower_bound=True to keep the old behaviour and stamp "
+                "the output metadata with counts=lower_bound"
+            )
         if not exact and min_frequency is not None:
             raise StoreError(
                 "cannot apply a merge min_frequency without residual tables: "
@@ -364,118 +315,46 @@ def merge_stores(
             )
 
         out_tau = 1
+        sampled = list(opened)
         if exact:
             out_tau = (
                 min_frequency
                 if min_frequency is not None
                 else max(open_store.min_frequency for open_store in opened)
             )
-
-        vocabulary_lines = _merged_vocabulary_lines(input_dirs, opened)
-        sampled = list(opened)
-        if exact:
             sampled.extend(
                 open_store.residual
                 for open_store in opened
                 if open_store.residual is not None
             )
-        boundaries = plan_boundaries(
-            _boundary_sample(sampled, store.sample_size, store.num_partitions),
-            store.num_partitions,
-        )
-
-        # The single streaming pass: write the merged stream straight into
-        # per-partition tables (main, and — for exact τ>1 output — the
-        # residual sidecar alongside).
-        clear_store_dir(out_dir)
-        main_sink = _PartitionSink(out_dir, store, boundaries)
-        residual_sink: Optional[_PartitionSink] = None
-        overrides: Optional[Dict[str, Any]] = None
-        if exact and out_tau > 1:
-            residual_dir = os.path.join(out_dir, RESIDUAL_DIRNAME)
-            os.makedirs(residual_dir, exist_ok=True)
-            residual_sink = _PartitionSink(residual_dir, store, boundaries, residual=True)
-        try:
-            if residual_sink is not None:
-                # Exact τ>1 merge: recover each input's full count table
-                # (main + residual), sum, and re-split at the output τ.
-                # The full stream passes through, so the unigram aggregates
-                # the language model needs are recomputed exactly for free.
-                stream = _merge_streams(
-                    open_store.exact_items() for open_store in opened
+        vocabulary_lines = store_vocabulary(opened)
+        writer = StoreWriter(out_dir, store, plan_store_boundaries(sampled, store), out_tau)
+        # The single streaming pass.  An exact merge recovers each input's
+        # full count table (main + residual); the writer re-splits the sums
+        # at the output τ.
+        writer.write(
+            summed(
+                merge_join(
+                    open_store.exact_items() if exact else open_store.items()
+                    for open_store in opened
                 )
-                unigram_total = 0
-                vocabulary_size = 0
-                for key, value in stream:
-                    _check_splittable_count(key, value, out_tau)
-                    if len(key) == 1:
-                        unigram_total += value
-                        vocabulary_size += 1
-                    if value >= out_tau:
-                        main_sink.append(key, value)
-                    else:
-                        residual_sink.append(key, value)
-                residual_sink.close()
-                overrides = {
-                    "min_frequency": out_tau,
-                    "num_ngrams": main_sink.num_records + residual_sink.num_records,
-                    "unigram_total": unigram_total,
-                    "vocabulary_size": vocabulary_size,
-                }
-            else:
-                if exact:
-                    stream = _merge_streams(
-                        open_store.exact_items() for open_store in opened
-                    )
-                    if any(
-                        "min_frequency" in open_store.metadata for open_store in opened
-                    ):
-                        overrides = {"min_frequency": out_tau}
-                else:
-                    stream = merge_records(opened)
-                    if lower_bound:
-                        overrides = {"counts": "lower_bound"}
-                for key, value in stream:
-                    main_sink.append(key, value)
-            main_sink.close()
-        except Exception:
-            main_sink.abort()
-            if residual_sink is not None:
-                residual_sink.abort()
-            raise
-
-        if vocabulary_lines is not None:
-            write_dictionary(out_dir, vocabulary_lines)
-        residual_entry: Optional[Dict[str, Any]] = None
-        if residual_sink is not None:
-            write_store_manifest(
-                residual_sink.out_dir,
-                codec=store.codec,
-                records_per_block=store.records_per_block,
-                boundaries=boundaries,
-                partitions=residual_sink.partitions,
-                has_vocabulary=False,
-                metadata={
-                    "residual": True,
-                    "residual_below": out_tau,
-                    "min_frequency": 1,
-                },
             )
-            residual_entry = {
-                "directory": RESIDUAL_DIRNAME,
-                "below": out_tau,
-                "num_records": residual_sink.num_records,
-            }
-        write_store_manifest(
-            out_dir,
-            codec=store.codec,
-            records_per_block=store.records_per_block,
-            boundaries=boundaries,
-            partitions=main_sink.partitions,
-            has_vocabulary=vocabulary_lines is not None,
-            metadata=_merged_metadata(input_dirs, opened, metadata, overrides),
-            residual=residual_entry,
         )
+
+        overrides: Dict[str, Any] = {}
+        if lower_bound:
+            overrides["counts"] = "lower_bound"
+        elif out_tau > 1:
+            # The full stream passed through the writer, so the unigram
+            # aggregates the language model needs are exact for free.
+            overrides.update(
+                num_ngrams=writer.num_records + writer.residual_records,
+                unigram_total=writer.unigram_total,
+                vocabulary_size=writer.vocabulary_size,
+            )
+        elif exact and any("min_frequency" in open_store.metadata for open_store in opened):
+            overrides["min_frequency"] = out_tau
+        writer.commit(_merged_metadata(input_dirs, opened, metadata, overrides), vocabulary_lines)
     finally:
         for open_store in opened:
             open_store.close()

@@ -1,8 +1,10 @@
-"""Tests for k-way store merging (compaction)."""
+"""Tests for k-way store merging (compaction) and its merge-join kernel."""
 
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.config import StoreConfig
@@ -11,8 +13,8 @@ from repro.exceptions import StoreError
 from repro.harness.datasets import nytimes_like
 from repro.algorithms import count_ngrams
 from repro.applications.language_model import NGramLanguageModel
-from repro.ngramstore import NGramStore, build_store, merge_stores
-from repro.ngramstore.merge import merge_records
+from repro.ngramstore import LSMStore, NGramStore, build_store, merge_stores
+from repro.ngramstore import merge as kernel
 
 
 def make_records(count, seed, max_term=40):
@@ -36,6 +38,66 @@ def summed(*record_lists):
     return dict(sorted(totals.items()))
 
 
+def kernel_sum(stores):
+    """The merge kernel over the stores' main streams, duplicates summed."""
+    return kernel.summed(kernel.merge_join(store.items() for store in stores))
+
+
+KEYS = st.tuples(st.integers(0, 5)) | st.tuples(st.integers(0, 5), st.integers(0, 5))
+
+#: One to five count tables, each streamed in key order.
+TABLES = st.lists(st.dictionaries(KEYS, st.integers(1, 9), max_size=12), min_size=1, max_size=5)
+
+
+def joined(tables):
+    return kernel.merge_join(sorted(table.items()) for table in tables)
+
+
+class TestMergeJoinKernel:
+    """``merge_join`` and each combine equal a brute-force dict computation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(TABLES)
+    @example([{}])
+    @example([{}, {}, {}, {}, {}])
+    @example([{(1,): 1}, {(2,): 2}, {(3,): 3}])
+    @example([{(1,): 1, (2,): 2}, {(1,): 3, (2,): 4}, {(1,): 5, (2,): 6}])
+    def test_combines_match_brute_force(self, tables):
+        keys = sorted(set().union(*tables))
+        first, rest = tables[0], tables[1:]
+        assert list(joined(tables)) == [
+            (key, [table.get(key, kernel.ABSENT) for table in tables]) for key in keys
+        ]
+        assert list(kernel.summed(joined(tables))) == [
+            (key, sum(table.get(key, 0) for table in tables)) for key in keys
+        ]
+        assert list(kernel.difference(joined(tables))) == [
+            (key, first[key]) for key in sorted(first) if not any(key in t for t in rest)
+        ]
+        assert list(kernel.intersection(joined(tables))) == [
+            (key, [table[key] for table in tables])
+            for key in keys
+            if all(key in table for table in tables)
+        ]
+
+    def test_sum_adds_in_input_order(self):
+        streams = [[((1,), ["a"])], [((1,), ["b"]), ((2,), ["c"])], [((1,), ["d"])]]
+        assert list(kernel.summed(kernel.merge_join(streams))) == [
+            ((1,), ["a", "b", "d"]),
+            ((2,), ["c"]),
+        ]
+
+    def test_generation_view_sums_with_the_kernel_sum(self, tmp_path):
+        lsm = LSMStore.init(str(tmp_path / "lsm"))
+        lsm.ingest_records([((1,), {"2000": 3})])
+        lsm.ingest_records([((1,), {"2001": 4})])
+        with lsm.view() as view:
+            with pytest.raises(StoreError, match="do not support addition"):
+                view.get((1,))
+            with pytest.raises(StoreError, match="do not support addition"):
+                list(view.scan())
+
+
 class TestMergeRecords:
     def test_duplicates_summed_across_inputs(self, tmp_path):
         left = make_records(200, seed=1)
@@ -46,7 +108,7 @@ class TestMergeRecords:
         build_store(left, left_dir, store=StoreConfig(num_partitions=2))
         build_store(right, right_dir, store=StoreConfig(num_partitions=3))
         with NGramStore.open(left_dir) as a, NGramStore.open(right_dir) as b:
-            assert dict(merge_records([a, b])) == summed(left, right)
+            assert dict(kernel_sum([a, b])) == summed(left, right)
 
     def test_non_summable_duplicate_rejected(self, tmp_path):
         left_dir, right_dir = str(tmp_path / "left"), str(tmp_path / "right")
@@ -54,7 +116,7 @@ class TestMergeRecords:
         build_store([((1,), {"2001": 4})], right_dir)
         with NGramStore.open(left_dir) as a, NGramStore.open(right_dir) as b:
             with pytest.raises(StoreError, match="do not support addition"):
-                list(merge_records([a, b]))
+                list(kernel_sum([a, b]))
 
 
 class TestMergeStores:
@@ -166,13 +228,11 @@ class TestMergeStores:
         # Re-open and count block decodes for the same merge: every input
         # block is read exactly once (the write pass), none for planning.
         with NGramStore.open(left_dir) as a, NGramStore.open(right_dir) as b:
-            from repro.ngramstore.merge import _boundary_sample
-
-            sample = _boundary_sample([a, b], 1024, 3)
-            assert sample == sorted(sample)
+            boundaries = kernel.plan_store_boundaries([a, b], StoreConfig(num_partitions=3))
+            assert len(boundaries) == 2 and boundaries == sorted(boundaries)
             assert a.cache_stats().misses == 0
             assert b.cache_stats().misses == 0
-            list(merge_records([a, b]))
+            list(kernel_sum([a, b]))
             total_blocks = sum(
                 store._table(index).num_blocks
                 for store in (a, b)
