@@ -38,28 +38,30 @@ asserts identical results across every implementation: the local
 :class:`~repro.ngramstore.router.ShardRouter`, and the
 :class:`~repro.ngramstore.http.HttpStoreClient`.
 
-:class:`QueryEngine` is the transport-independent server half: it maps one
-request object of the unified wire schema (shared verbatim by the TCP
-socket protocol and the HTTP adapter) to one response object, enforcing
-the server-side result caps.
+:data:`OPS` is the protocol's one definition: each served operation is one
+:class:`Op` row — its typed :class:`Arg` fields with their validators and
+server caps, the client methods it backs, its response shape, what it
+reads, its HTTP GET route and an example exchange.  Derived from it:
+:class:`RemoteStore`'s methods, :meth:`QueryEngine.handle` (the
+transport-independent server half, shared verbatim by the socket protocol
+and the HTTP adapter), the HTTP GET routes, the service's per-request I/O
+accounting, :class:`~repro.ngramstore.router.ReplicaPool`'s delegations and
+the README's op reference (:func:`render_op_reference`).  Adding an
+operation is one row plus its ``StoreAPI`` method.
 """
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
 from itertools import islice
-from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import StoreError, VocabularyError
-from repro.ngramstore.table import (
-    TOP_K_ORDERS,
-    TopKAccumulator,
-    _frequency_type_error,
-    prefix_records,
-    validate_top_k,
-)
+from repro.ngramstore.table import TopKAccumulator, _frequency_type_error, prefix_records, validate_top_k
 
 _MISSING = object()
+_REQUIRED = object()
 
 
 class NGramRecord(NamedTuple):
@@ -99,26 +101,9 @@ MAX_BATCH_KEYS = 10_000
 #: Default result size of the ``complete`` operation.
 DEFAULT_COMPLETE_K = 5
 
-#: Operations of the unified wire protocol (also the metrics buckets).
-OPERATIONS = (
-    "get",
-    "multi_get",
-    "prefix",
-    "multi_prefix",
-    "top_k",
-    "complete",
-    "compare",
-    "translate",
-    "render",
-    "stats",
-    "server_stats",
-    "metrics",
-    "ping",
-)
-
 def validate_prefix_limit(limit: Any) -> Optional[int]:
     """Validate a ``prefix`` result cap: ``None`` (uncapped) or an int >= 0."""
-    if limit is not None and (not isinstance(limit, int) or limit < 0):
+    if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool) or limit < 0):
         raise StoreError(f"prefix limit must be a non-negative integer, got {limit!r}")
     return limit
 
@@ -263,6 +248,7 @@ class StoreAPI:
         self, prefixes: Sequence[Iterable[Any]], limit: Optional[int] = None
     ) -> List[List[Record]]:
         """One prefix scan per entry of ``prefixes``, order-aligned."""
+        validate_prefix_limit(limit)
         return [list(self.prefix(prefix, limit=limit)) for prefix in prefixes]
 
     def complete(self, ngram: Iterable[Any], k: int = DEFAULT_COMPLETE_K) -> List[Completion]:
@@ -349,9 +335,9 @@ class StoreAPI:
         rendering), so the order matches the id-keyed ``complete`` exactly.
         """
         (key,) = self.translate_terms([tuple(terms)])
-        if key is None:
-            return []
-        completions = self.complete(key, k)
+        return [] if key is None else self._rendered_completions(self.complete(key, k))
+
+    def _rendered_completions(self, completions: List[Completion]) -> List[Completion]:
         rendered = self.render_ngrams([(completion.token,) for completion in completions])
         return [
             Completion(surface[0], completion.value)
@@ -385,162 +371,356 @@ class StoreAPI:
         self.close()
 
 
+# ------------------------------------------------------------- the op table
+class Arg(NamedTuple):
+    """One typed field of an operation's request.
+
+    ``field`` is the wire name (``None`` for a client-side parameter such as
+    ``default``) and ``param`` the client method's parameter name (``None``
+    for a constant the ``*_terms`` variant sets: ``surface``).
+    ``parse(value, op, store)`` validates a request's value server-side,
+    server caps included, and translates surface terms where the field
+    carries them; ``encode`` turns a client argument into its wire value;
+    ``query(raw, field)`` reads an HTTP query-string value; ``count`` says
+    how many keys a request value asks about (slow-query log lines).
+    """
+
+    field: Optional[str]
+    param: Optional[str]
+    default: Any = _REQUIRED
+    parse: Optional[Callable[[Any, str, Any], Any]] = None
+    encode: Callable[[Any], Any] = lambda value: value
+    query: Optional[Callable[[str, str], Any]] = None
+    count: Optional[Callable[[Any], int]] = None
+
+
+def _key(data: Any, op: str, store: Any) -> Tuple:
+    if not isinstance(data, list):
+        raise StoreError(f"key must be a JSON array of terms, got {type(data).__name__}")
+    return tuple(data)
+
+
+def _terms_key(terms: Any, op: str, store: Any) -> Optional[Tuple]:
+    """One surface-term key, translated; ``None`` when a term is unknown."""
+    if not isinstance(terms, list) or not all(isinstance(term, str) for term in terms):
+        raise StoreError("terms must be a JSON array of strings")
+    return store.translate_terms([tuple(terms)])[0]
+
+
+def _capped(batch: List[Tuple], op: str, unit: str) -> List[Tuple]:
+    if len(batch) > MAX_BATCH_KEYS:
+        raise StoreError(f"{op} batch must be <= {MAX_BATCH_KEYS} {unit}, got {len(batch)}")
+    return batch
+
+
+def _key_batch(field: str, item: str, unit: str) -> Callable[[Any, str, Any], List[Tuple]]:
+    def parse(data: Any, op: str, store: Any) -> List[Tuple]:
+        if not isinstance(data, list):
+            raise StoreError(f"{field} must be a JSON array of key arrays")
+        # One type check and one tuple() per key: multi_get's hot path.
+        for entry in data:
+            if not isinstance(entry, list):
+                raise StoreError(f"each {item} must be a JSON array of terms, got {type(entry).__name__}")
+        return _capped(list(map(tuple, data)), op, unit)
+
+    return parse
+
+
+def _terms_batch(data: Any, op: str, store: Any, unit: str = "items") -> List[Tuple]:
+    if not isinstance(data, list):
+        raise StoreError("terms must be a JSON array of term arrays")
+    for entry in data:
+        if not isinstance(entry, list) or not all(isinstance(term, str) for term in entry):
+            raise StoreError("each terms entry must be a JSON array of strings")
+    return _capped(list(map(tuple, data)), op, unit)
+
+
+def _terms_keys(data: Any, op: str, store: Any) -> List[Optional[Tuple]]:
+    """A batch of surface-term keys: checked against the cap, then translated."""
+    return store.translate_terms(_terms_batch(data, op, store, "keys"))
+
+
+def _top_k_cap(k: Any, op: str, store: Any) -> Any:
+    # The row's check, validate_top_k, refuses a non-integer k next.
+    if isinstance(k, int) and not isinstance(k, bool) and k > MAX_TOP_K:
+        raise StoreError(f"top_k k must be <= {MAX_TOP_K}, got {k}")
+    return k
+
+
+def _key_query(raw: str, field: str) -> List[int]:
+    try:
+        return [int(part) for part in raw.split(",")] if raw else []
+    except ValueError:
+        raise StoreError(f"key must be comma-separated term identifiers, got {raw!r} (use terms= for surface terms)")
+
+
+def _int_query(raw: str, field: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise StoreError(f"{field} must be an integer, got {raw!r}")
+
+
+def _lists(items: Iterable[Iterable[Any]]) -> List[List[Any]]:
+    return [list(item) for item in items]
+
+
+def _one(value: Any) -> int:
+    return 1
+
+
+KEY = Arg("key", "ngram", parse=_key, encode=list, query=_key_query, count=_one)
+TERMS = Arg("terms", "terms", parse=_terms_key, encode=list, query=lambda raw, field: raw.split(","), count=_one)
+KEYS = Arg("keys", "ngrams", parse=_key_batch("keys", "key", "keys"), encode=_lists, count=len)
+TERMS_KEYS = Arg("terms", "items", parse=_terms_keys, encode=_lists, count=len)
+TERMS_BATCH = Arg("terms", "items", parse=_terms_batch, encode=_lists, count=len)
+NGRAMS = Arg("ngrams", "ngrams", parse=_key_batch("ngrams", "ngram", "items"), encode=_lists, count=len)
+LIMIT = Arg("limit", "limit", None, lambda limit, op, store: validate_prefix_limit(limit), query=_int_query)
+TOP_K = Arg("k", "k", parse=_top_k_cap, query=_int_query)
+COMPLETE_K = Arg("k", "k", DEFAULT_COMPLETE_K, lambda k, op, store: validate_complete_k(k), query=_int_query)
+ORDER = Arg("order", "order", "frequency", lambda order, op, store: order, query=lambda raw, field: raw)
+SURFACE = Arg("surface", None, True, query=lambda raw, field: raw not in ("", "0", "false", "no"))
+DEFAULT = Arg(None, "default", None)
+
+
+class Op(NamedTuple):
+    """One served operation, declared once.
+
+    ``method`` is the client method it backs (``f"{method}_terms"`` too when
+    ``terms`` lists the surface-term variant's arguments); ``serve(engine,
+    surface, *parsed_args)`` answers it in the :class:`QueryEngine`
+    (``None``: the service's own state), after ``check(*parsed_args)``, a
+    validator over several arguments that local stores run too;
+    ``decode(response, call)`` turns a response back into the client
+    method's result.  ``access`` is what the
+    op reads — ``"blocks"`` (per-request I/O deltas), ``"store"`` (metadata
+    or the dictionary) or nothing; ``http`` gives it a ``GET /<name>`` route.
+    ``example``/``reply`` are one request's fields and its answer, for the
+    op reference and the tests.
+    """
+
+    name: str
+    method: str
+    args: Tuple[Arg, ...]
+    serve: Optional[Callable[..., Dict[str, Any]]]
+    decode: Callable[[Dict[str, Any], Dict[str, Any]], Any]
+    example: Dict[str, Any]
+    reply: Dict[str, Any]
+    terms: Tuple[Arg, ...] = ()
+    check: Optional[Callable[..., None]] = None
+    access: Optional[str] = None
+    http: bool = False
+    needs_extra_store: bool = False
+
+    @property
+    def methods(self) -> Tuple[str, ...]:
+        return (self.method, f"{self.method}_terms") if self.terms else (self.method,)
+
+    def args_for(self, request: Dict[str, Any]) -> Tuple[bool, Tuple[Arg, ...]]:
+        """``(surface, arguments)`` of one request: keyed by terms, or by ids."""
+        surface = "terms" in request or bool(request.get("surface"))
+        return surface, self.terms if surface and self.terms else self.args
+
+    @property
+    def request(self) -> Dict[str, Any]:
+        return {"op": self.name, **self.example}
+
+    @property
+    def route(self) -> str:
+        """The example as a GET route: ``/get?key=3,7``."""
+        query = "&".join(f"{field}={_query_value(value)}" for field, value in self.example.items())
+        return f"/{self.name}?{query}" if query else f"/{self.name}"
+
+
+def _query_value(value: Any) -> str:
+    if isinstance(value, list):
+        return ",".join(str(item) for item in value)
+    return "1" if value is True else str(value)
+
+
+def _lookup(store: Any, key: Optional[Tuple]) -> Any:
+    return _MISSING if key is None else store.get(key, _MISSING)
+
+
+def _found(value: Any, suffix: str = "") -> Dict[str, Any]:
+    return {f"found{suffix}": value is not _MISSING, f"value{suffix}": None if value is _MISSING else value}
+
+
+def _serve_multi_get(engine: "QueryEngine", surface: bool, keys: List[Optional[Tuple]]) -> Dict[str, Any]:
+    get = engine.store.get
+    values = [_MISSING if key is None else get(key, _MISSING) for key in keys]
+    return {
+        "found": [value is not _MISSING for value in values],
+        "values": [None if value is _MISSING else value for value in values],
+    }
+
+
+def _serve_complete(engine: "QueryEngine", surface: bool, key: Optional[Tuple], k: int) -> Dict[str, Any]:
+    if key is None:  # unknown surface term: nothing continues it
+        completions, truncated = [], False
+    else:
+        completions, truncated = complete_scan(engine.store.prefix(key), len(key), k)
+    if surface:
+        completions = engine.store._rendered_completions(completions)
+    return {"completions": [list(completion) for completion in completions], "truncated": truncated}
+
+
+def _serve_render(engine: "QueryEngine", surface: bool, ngrams: List[Tuple]) -> Dict[str, Any]:
+    try:
+        rendered = engine.store.render_ngrams(ngrams)
+    except VocabularyError as error:
+        raise StoreError(f"{error}") from error
+    return {"terms": [list(terms) for terms in rendered]}
+
+
+def _prefix_records(result: Dict[str, Any], limit: Optional[int]) -> List[Record]:
+    """One prefix result's records, refusing a silently partial answer."""
+    records = result["records"]
+    if result.get("truncated") and (limit is None or len(records) < limit):
+        # Truncated short of what the caller asked for (everything, or a
+        # limit above the server cap): a partial result would be wrong.
+        raise StoreError(
+            f"prefix result truncated at the server cap ({MAX_PREFIX_RECORDS} "
+            "records); pass a limit at or below the cap, or export offline"
+        )
+    return _records(records)
+
+
+def _records(rows: List[List[Any]]) -> List[Record]:
+    return [NGramRecord(tuple(key), value) for key, value in rows]
+
+
+def _envelope(response: Dict[str, Any], call: Dict[str, Any]) -> Dict[str, Any]:
+    """Drop protocol fields so remote answers match local ones byte for byte."""
+    return {key: value for key, value in response.items() if key != "ok"}
+
+
+#: Every served operation, in protocol order (the order also names the
+#: metrics buckets and the "unknown op" hint).
+OPS: Dict[str, Op] = {op.name: op for op in (
+    Op("get", "get", (KEY, DEFAULT), lambda engine, surface, key: _found(_lookup(engine.store, key)),
+       lambda response, call: response["value"] if response["found"] else call["default"],
+       {"key": [3, 7]}, {"found": True, "value": 42},
+       terms=(TERMS, DEFAULT), access="blocks", http=True),
+    Op("multi_get", "multi_get", (KEYS, DEFAULT), _serve_multi_get,
+       lambda response, call: [
+           value if found else call["default"] for found, value in zip(response["found"], response["values"])
+       ],
+       {"keys": [[3, 7], [9]]}, {"found": [True, False], "values": [42, None]},
+       terms=(TERMS_KEYS, DEFAULT), access="blocks"),
+    Op("prefix", "prefix", (KEY, LIMIT),
+       lambda engine, surface, key, limit: engine._prefix_response(key, limit, surface),
+       lambda response, call: _prefix_records(response, call["limit"]),
+       {"key": [3], "limit": 100}, {"records": [[[3], 57], [[3, 7], 42]], "truncated": False},
+       terms=(TERMS, LIMIT), access="blocks", http=True),
+    Op("multi_prefix", "multi_prefix", (KEYS, LIMIT),
+       lambda engine, surface, keys, limit: {
+           "results": [engine._prefix_response(key, limit, False) for key in keys]
+       },
+       lambda response, call: [_prefix_records(result, call["limit"]) for result in response["results"]],
+       {"keys": [[3], [9]], "limit": 100},
+       {"results": [{"records": [[[3], 57]], "truncated": False}, {"records": [], "truncated": False}]},
+       access="blocks"),
+    Op("top_k", "top_k", (TOP_K, ORDER),
+       lambda engine, surface, k, order: {"records": engine._record_payload(engine.store.top_k(k, order), surface)},
+       lambda response, call: _records(response["records"]),
+       {"k": 10, "order": "frequency"}, {"records": [[[0], 981], [[1], 944]]},
+       terms=(TOP_K, ORDER, SURFACE), check=validate_top_k, access="blocks", http=True),
+    Op("complete", "complete", (KEY, COMPLETE_K), _serve_complete,
+       lambda response, call: [Completion(token, value) for token, value in response["completions"]],
+       {"terms": ["new", "york"], "k": 5}, {"completions": [["times", 87], ["city", 61]], "truncated": False},
+       terms=(TERMS, COMPLETE_K), access="blocks", http=True),
+    Op("compare", "compare",
+       (KEY,), lambda engine, surface, key: {
+           **_found(_lookup(engine.store, key), "_a"), **_found(_lookup(engine.extra_store, key), "_b")
+       },
+       _envelope, {"terms": ["new", "york"]}, {"found_a": True, "value_a": 812, "found_b": True, "value_b": 64},
+       terms=(TERMS,), access="blocks", http=True, needs_extra_store=True),
+    Op("translate", "translate_terms", (TERMS_BATCH,),
+       lambda engine, surface, batch: {
+           "keys": [None if key is None else list(key) for key in engine.store.translate_terms(batch)]
+       },
+       lambda response, call: [None if key is None else tuple(key) for key in response["keys"]],
+       {"terms": [["the", "quick"], ["no-such-term"]]}, {"keys": [[0, 17], None]}, access="store"),
+    Op("render", "render_ngrams", (NGRAMS,), _serve_render,
+       lambda response, call: [tuple(terms) for terms in response["terms"]],
+       {"ngrams": [[0, 17]]}, {"terms": [["the", "quick"]]}, access="store"),
+    Op("stats", "stats", (), lambda engine, surface: dict(engine.store.stats()), _envelope,
+       {}, {"store_dir": "/data/store", "num_records": 20311, "num_partitions": 4, "codec": "gzip"},
+       access="store", http=True),
+    Op("server_stats", "server_stats", (), None, _envelope,
+       {}, {"uptime_s": 12.5, "requests": 3, "errors": 0, "operations": {}, "cache": {}}, http=True),
+    Op("metrics", "metrics_text", (), None, lambda response, call: str(response.get("text", "")),
+       {}, {"text": "# HELP ngramstore_requests_total Requests served, by operation\n"}),
+    Op("ping", "ping", (), lambda engine, surface: {"pong": True}, lambda response, call: bool(response.get("pong")),
+       {}, {"pong": True}, http=True),
+)}
+
+#: Operations of the unified wire protocol (also the metrics buckets).
+OPERATIONS = tuple(OPS)
+
+
+def render_op_reference() -> str:
+    """The README's op reference, rendered from :data:`OPS` (a test keeps them equal)."""
+    lines = ["| op | request fields | client methods | GET route |", "|---|---|---|---|"]
+    for op in OPS.values():
+        fields = " or ".join(
+            ", ".join(f"`{arg.field}`" + ("" if arg.default is _REQUIRED else "?") for arg in args if arg.field)
+            for args in (op.args, op.terms) if args
+        )
+        methods = ", ".join(f"`{method}`" for method in op.methods)
+        route = f"`GET {op.route}`" if op.http else ""
+        lines.append(f"| `{op.name}` | {fields or '—'} | {methods} | {route} |")
+    lines += ["", "```"]
+    for op in OPS.values():
+        lines += [f"-> {json.dumps(op.request)}", f"<- {json.dumps({'ok': True, **op.reply})}"]
+    return "\n".join(lines + ["```"])
+
+
+def _remote_method(op: Op, surface: bool) -> Callable[..., Any]:
+    """``op`` as a :class:`RemoteStore` method: bind, encode, one round trip, decode."""
+    args = op.terms if surface else op.args
+    names = tuple(arg.param for arg in args if arg.param is not None)
+    name = op.methods[surface]
+
+    def method(self: "RemoteStore", *values: Any, **named: Any) -> Any:
+        call = dict(zip(names, values))
+        if len(values) > len(names) or any(param not in names or param in call for param in named):
+            raise TypeError(f"{name}() takes {', '.join(names) or 'no arguments'}; got {values!r}, {named!r}")
+        call.update(named)
+        request: Dict[str, Any] = {"op": op.name}
+        for arg in args:
+            value = call.setdefault(arg.param, arg.default) if arg.param else arg.default
+            if value is _REQUIRED:
+                raise TypeError(f"{name}() missing required argument {arg.param!r}")
+            if arg.field is not None and value is not None:
+                request[arg.field] = arg.encode(value)
+        return op.decode(self._call(request), call)
+
+    method.__name__ = name
+    method.__qualname__ = f"RemoteStore.{name}"
+    method.__doc__ = f"The ``{op.name}`` operation in one round trip (see :data:`OPS`)."
+    return method
+
+
 class RemoteStore(StoreAPI):
     """``StoreAPI`` over a request/response wire: shared by every client.
 
     Subclasses (the socket :class:`~repro.ngramstore.server.StoreClient`
     and the :class:`~repro.ngramstore.http.HttpStoreClient`) provide only
     ``_call`` (one unified-schema request dict -> the response dict) and
-    ``close``; everything else — including the surface-term variants,
-    which run server-side in a single round trip — lives here, so the two
-    transports cannot drift apart.
+    ``close``.  Every operation method — the surface-term variants
+    included, which run server-side in a single round trip — is generated
+    from :data:`OPS`, so the two transports cannot drift apart.
     """
 
     def _call(self, request: Dict[str, Any]) -> Dict[str, Any]:
         raise NotImplementedError
 
-    # ------------------------------------------------------------- queries
-    def get(self, ngram: Iterable[Any], default: Any = None) -> Any:
-        response = self._call({"op": "get", "key": list(ngram)})
-        return response["value"] if response["found"] else default
 
-    def multi_get(self, ngrams: Sequence[Iterable[Any]], default: Any = None) -> List[Any]:
-        response = self._call(
-            {"op": "multi_get", "keys": [list(ngram) for ngram in ngrams]}
-        )
-        return [
-            value if found else default
-            for found, value in zip(response["found"], response["values"])
-        ]
-
-    @staticmethod
-    def _prefix_records(result: Dict[str, Any], limit: Optional[int]) -> List[Record]:
-        """One prefix result's records, refusing a silently partial answer."""
-        records = result["records"]
-        if result.get("truncated") and (limit is None or len(records) < limit):
-            # Truncated short of what the caller asked for (everything, or
-            # a limit above the server cap): a silently partial result
-            # would be a wrong answer.
-            raise StoreError(
-                f"prefix result truncated at the server cap ({MAX_PREFIX_RECORDS} "
-                "records); pass a limit at or below the cap, or export offline"
-            )
-        return [NGramRecord(tuple(key), value) for key, value in records]
-
-    def _call_limited(self, request: Dict[str, Any], limit: Optional[int]) -> Dict[str, Any]:
-        if limit is not None:
-            request["limit"] = limit
-        return self._call(request)
-
-    def prefix(self, tokens: Iterable[Any], limit: Optional[int] = None) -> List[Record]:
-        response = self._call_limited({"op": "prefix", "key": list(tokens)}, limit)
-        return self._prefix_records(response, limit)
-
-    def multi_prefix(
-        self, prefixes: Sequence[Iterable[Any]], limit: Optional[int] = None
-    ) -> List[List[Record]]:
-        response = self._call_limited(
-            {"op": "multi_prefix", "keys": [list(prefix) for prefix in prefixes]}, limit
-        )
-        return [self._prefix_records(result, limit) for result in response["results"]]
-
-    def top_k(self, k: int, order: str = "frequency") -> List[Record]:
-        response = self._call({"op": "top_k", "k": k, "order": order})
-        return [NGramRecord(tuple(key), value) for key, value in response["records"]]
-
-    @staticmethod
-    def _strip_envelope(response: Dict[str, Any]) -> Dict[str, Any]:
-        """Drop protocol fields so remote stats match local ones byte for byte."""
-        return {key: value for key, value in response.items() if key != "ok"}
-
-    def stats(self) -> Dict[str, Any]:
-        return self._strip_envelope(self._call({"op": "stats"}))
-
-    def server_stats(self) -> Dict[str, Any]:
-        return self._strip_envelope(self._call({"op": "server_stats"}))
-
-    def metrics_text(self) -> str:
-        """The server's metrics in the Prometheus text exposition format."""
-        return str(self._call({"op": "metrics"}).get("text", ""))
-
-    def ping(self) -> bool:
-        return bool(self._call({"op": "ping"}).get("pong"))
-
-    # ------------------------------------------- server-side vocabulary ops
-    def translate_terms(self, items: Sequence[Sequence[str]]) -> List[Optional[Tuple]]:
-        response = self._call({"op": "translate", "terms": [list(item) for item in items]})
-        return [None if key is None else tuple(key) for key in response["keys"]]
-
-    def render_ngrams(self, ngrams: Sequence[Tuple]) -> List[Tuple[str, ...]]:
-        response = self._call({"op": "render", "ngrams": [list(ngram) for ngram in ngrams]})
-        return [tuple(terms) for terms in response["terms"]]
-
-    def get_terms(self, terms: Sequence[str], default: Any = None) -> Any:
-        response = self._call({"op": "get", "terms": list(terms)})
-        return response["value"] if response["found"] else default
-
-    def multi_get_terms(
-        self, items: Sequence[Sequence[str]], default: Any = None
-    ) -> List[Any]:
-        response = self._call(
-            {"op": "multi_get", "terms": [list(item) for item in items]}
-        )
-        return [
-            value if found else default
-            for found, value in zip(response["found"], response["values"])
-        ]
-
-    def prefix_terms(
-        self, terms: Sequence[str], limit: Optional[int] = None
-    ) -> List[Record]:
-        response = self._call_limited({"op": "prefix", "terms": list(terms)}, limit)
-        return self._prefix_records(response, limit)
-
-    def top_k_terms(self, k: int, order: str = "frequency") -> List[Record]:
-        response = self._call({"op": "top_k", "k": k, "order": order, "surface": True})
-        return [NGramRecord(tuple(key), value) for key, value in response["records"]]
-
-    # --------------------------------------------------- analytics serving
-    def complete(self, ngram: Iterable[Any], k: int = DEFAULT_COMPLETE_K) -> List[Completion]:
-        response = self._call({"op": "complete", "key": list(ngram), "k": k})
-        return [Completion(token, value) for token, value in response["completions"]]
-
-    def complete_terms(
-        self, terms: Sequence[str], k: int = DEFAULT_COMPLETE_K
-    ) -> List[Completion]:
-        response = self._call({"op": "complete", "terms": list(terms), "k": k})
-        return [Completion(token, value) for token, value in response["completions"]]
-
-    def compare(self, ngram: Iterable[Any]) -> Dict[str, Any]:
-        """Point lookup of ``ngram`` in the served store *and* the mounted
-        comparison store: ``{"found_a", "value_a", "found_b", "value_b"}``.
-
-        Raises :class:`StoreError` when the server was started without
-        ``--extra-store``.
-        """
-        return self._strip_envelope(self._call({"op": "compare", "key": list(ngram)}))
-
-    def compare_terms(self, terms: Sequence[str]) -> Dict[str, Any]:
-        return self._strip_envelope(self._call({"op": "compare", "terms": list(terms)}))
-
-
-def _validated_terms_batch(data: Any, field: str) -> List[Tuple[str, ...]]:
-    if not isinstance(data, list):
-        raise StoreError(f"{field} must be a JSON array of term arrays")
-    batch = []
-    for item in data:
-        if not isinstance(item, list) or not all(isinstance(term, str) for term in item):
-            raise StoreError(f"each {field} entry must be a JSON array of strings")
-        batch.append(tuple(item))
-    return batch
-
-
-def _json_key(data: Any, field: str = "key") -> Tuple:
-    if not isinstance(data, list):
-        raise StoreError(
-            f"{field} must be a JSON array of terms, got {type(data).__name__}"
-        )
-    return tuple(data)
+for _op in OPS.values():
+    for _surface, _name in enumerate(_op.methods):
+        setattr(RemoteStore, _name, _remote_method(_op, bool(_surface)))
 
 
 class _NullTrace:
@@ -575,25 +755,10 @@ class QueryEngine:
         self.extra_store = extra_store
 
     # ------------------------------------------------------------ helpers
-    def _request_key(self, request: Dict[str, Any], surface: bool) -> Optional[Tuple]:
-        """The query key of a get/prefix request; None for unknown terms."""
-        if surface:
-            terms = request.get("terms")
-            if not isinstance(terms, list) or not all(
-                isinstance(term, str) for term in terms
-            ):
-                raise StoreError("terms must be a JSON array of strings")
-            (key,) = self.store.translate_terms([tuple(terms)])
-            return key
-        return _json_key(request.get("key"))
-
     def _record_payload(self, records: List[Record], surface: bool) -> List[List[Any]]:
         if surface:
-            rendered = self.store.render_ngrams([record[0] for record in records])
-            return [
-                [list(terms), record[1]] for terms, record in zip(rendered, records)
-            ]
-        return [[list(record[0]), record[1]] for record in records]
+            records = self.store._rendered(records)
+        return [[list(key), value] for key, value in records]
 
     def _prefix_response(
         self, key: Optional[Tuple], limit: Optional[int], surface: bool
@@ -617,7 +782,7 @@ class QueryEngine:
 
     # ------------------------------------------------------------- handle
     def handle(self, request: Dict[str, Any], trace: Any = None) -> Dict[str, Any]:
-        """Answer one unified-schema request.
+        """Answer one unified-schema request through its :data:`OPS` row.
 
         ``trace`` is an optional :class:`~repro.util.tracing.TraceContext`;
         when given, time spent routing the request (validation, surface-term
@@ -628,157 +793,25 @@ class QueryEngine:
         if trace is None:
             trace = _NULL_TRACE
         operation = str(request.get("op"))
-        surface = "terms" in request or bool(request.get("surface"))
-        if operation == "get":
+        op = OPS.get(operation)
+        if op is None or op.serve is None:
+            raise StoreError(f"unknown op {operation!r}; expected one of {', '.join(OPERATIONS)}")
+        surface, args = op.args_for(request)
+        parsed: List[Any] = []
+        if args or op.needs_extra_store:
             with trace.stage("route"):
-                key = self._request_key(request, surface)
-            with trace.stage("read"):
-                value = _MISSING if key is None else self.store.get(key, _MISSING)
-            if value is _MISSING:
-                return {"found": False, "value": None}
-            return {"found": True, "value": value}
-        if operation == "multi_get":
-            with trace.stage("route"):
-                if surface:
-                    keys = self.store.translate_terms(
-                        _validated_terms_batch(request.get("terms"), "terms")
-                    )
-                else:
-                    data = request.get("keys")
-                    if not isinstance(data, list):
-                        raise StoreError("keys must be a JSON array of key arrays")
-                    keys = [_json_key(item, "each key") for item in data]
-                if len(keys) > MAX_BATCH_KEYS:
-                    raise StoreError(
-                        f"multi_get batch must be <= {MAX_BATCH_KEYS} keys, "
-                        f"got {len(keys)}"
-                    )
-            found: List[bool] = []
-            values: List[Any] = []
-            with trace.stage("read"):
-                for key in keys:
-                    value = _MISSING if key is None else self.store.get(key, _MISSING)
-                    found.append(value is not _MISSING)
-                    values.append(None if value is _MISSING else value)
-            return {"found": found, "values": values}
-        if operation == "prefix":
-            with trace.stage("route"):
-                key = self._request_key(request, surface)
-                limit = validate_prefix_limit(request.get("limit"))
-            with trace.stage("read"):
-                return self._prefix_response(key, limit, surface)
-        if operation == "multi_prefix":
-            with trace.stage("route"):
-                data = request.get("keys")
-                if not isinstance(data, list):
-                    raise StoreError("keys must be a JSON array of key arrays")
-                keys = [_json_key(item, "each key") for item in data]
-                if len(keys) > MAX_BATCH_KEYS:
-                    raise StoreError(
-                        f"multi_prefix batch must be <= {MAX_BATCH_KEYS} keys, "
-                        f"got {len(keys)}"
-                    )
-                limit = validate_prefix_limit(request.get("limit"))
-            with trace.stage("read"):
-                return {
-                    "results": [
-                        self._prefix_response(key, limit, surface=False) for key in keys
-                    ]
-                }
-        if operation == "top_k":
-            with trace.stage("route"):
-                k = request.get("k")
-                if not isinstance(k, int) or isinstance(k, bool):
-                    raise StoreError(f"top_k k must be an integer, got {k!r}")
-                if k > MAX_TOP_K:
-                    raise StoreError(f"top_k k must be <= {MAX_TOP_K}, got {k}")
-                order = request.get("order", "frequency")
-                if order not in TOP_K_ORDERS:
-                    raise StoreError(
-                        f"top_k order must be one of {', '.join(TOP_K_ORDERS)}, "
-                        f"got {order!r}"
-                    )
-                validate_top_k(k, order)
-            with trace.stage("read"):
-                records = self.store.top_k(k, order)
-                return {"records": self._record_payload(records, surface)}
-        if operation == "complete":
-            with trace.stage("route"):
-                key = self._request_key(request, surface)
-                k = validate_complete_k(request.get("k", DEFAULT_COMPLETE_K))
-            with trace.stage("read"):
-                if key is None:  # unknown surface term: nothing continues it
-                    completions, truncated = [], False
-                else:
-                    completions, truncated = complete_scan(
-                        self.store.prefix(key), len(key), k
-                    )
-                if surface:
-                    rendered = self.store.render_ngrams(
-                        [(completion.token,) for completion in completions]
-                    )
-                    payload = [
-                        [terms[0], completion.value]
-                        for terms, completion in zip(rendered, completions)
-                    ]
-                else:
-                    payload = [
-                        [completion.token, completion.value]
-                        for completion in completions
-                    ]
-            return {"completions": payload, "truncated": truncated}
-        if operation == "compare":
-            with trace.stage("route"):
-                if self.extra_store is None:
+                if op.needs_extra_store and self.extra_store is None:
                     raise StoreError(
                         "no comparison store mounted; start the server with "
-                        "--extra-store to enable 'compare'"
+                        f"--extra-store to enable {operation!r}"
                     )
-                key = self._request_key(request, surface)
-            with trace.stage("read"):
-                value_a = _MISSING if key is None else self.store.get(key, _MISSING)
-                value_b = (
-                    _MISSING if key is None else self.extra_store.get(key, _MISSING)
-                )
-            return {
-                "found_a": value_a is not _MISSING,
-                "value_a": None if value_a is _MISSING else value_a,
-                "found_b": value_b is not _MISSING,
-                "value_b": None if value_b is _MISSING else value_b,
-            }
-        if operation == "translate":
-            with trace.stage("route"):
-                batch = _validated_terms_batch(request.get("terms"), "terms")
-                if len(batch) > MAX_BATCH_KEYS:
-                    raise StoreError(
-                        f"translate batch must be <= {MAX_BATCH_KEYS} items, "
-                        f"got {len(batch)}"
-                    )
-            with trace.stage("read"):
-                keys = self.store.translate_terms(batch)
-            return {"keys": [None if key is None else list(key) for key in keys]}
-        if operation == "render":
-            with trace.stage("route"):
-                data = request.get("ngrams")
-                if not isinstance(data, list):
-                    raise StoreError("ngrams must be a JSON array of key arrays")
-                if len(data) > MAX_BATCH_KEYS:
-                    raise StoreError(
-                        f"render batch must be <= {MAX_BATCH_KEYS} items, "
-                        f"got {len(data)}"
-                    )
-                ngrams = [_json_key(item, "each ngram") for item in data]
-            with trace.stage("read"):
-                try:
-                    rendered = self.store.render_ngrams(ngrams)
-                except VocabularyError as error:
-                    raise StoreError(f"{error}") from error
-            return {"terms": [list(terms) for terms in rendered]}
-        if operation == "stats":
-            with trace.stage("read"):
-                return dict(self.store.stats())
-        if operation == "ping":
-            return {"pong": True}
-        raise StoreError(
-            f"unknown op {operation!r}; expected one of {', '.join(OPERATIONS)}"
-        )
+                for arg in args:
+                    if arg.parse is not None:
+                        default = None if arg.default is _REQUIRED else arg.default
+                        parsed.append(arg.parse(request.get(arg.field, default), operation, self.store))
+                if op.check is not None:
+                    op.check(*parsed)
+        if op.access is None:
+            return op.serve(self, surface, *parsed)
+        with trace.stage("read"):
+            return op.serve(self, surface, *parsed)

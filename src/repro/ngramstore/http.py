@@ -15,20 +15,14 @@ server runs (so both transports answer identically by construction):
       $ curl -d '{"op": "get", "key": [3, 7]}' http://host:port/query
       {"ok": true, "found": true, "value": 42}
 
-* ``GET`` convenience routes for the common reads, query-string keyed::
+* ``GET /<op>?<fields>`` for every operation the op table
+  (:data:`~repro.ngramstore.api.OPS`) marks ``http`` — the README's op
+  reference lists them with examples — plus ``GET /metrics``, the
+  Prometheus text exposition.  Lists are comma-separated (``key=3,7``,
+  ``terms=new,york``) and ``surface=1`` renders ``top_k`` results as terms.
 
-      GET /ping
-      GET /stats            | GET /server_stats
-      GET /get?key=3,7      | GET /get?terms=the,quick
-      GET /prefix?key=3&limit=100
-      GET /top_k?k=10&order=frequency&surface=1
-      GET /complete?terms=new,york&k=5
-      GET /compare?key=3,7  | GET /compare?terms=new,york
-
-``key`` is comma-separated term identifiers; ``terms`` is comma-separated
-surface terms (translated server-side); ``surface=1`` renders ``top_k``
-results as terms.  Errors come back as ``{"ok": false, "error": ...}``
-with status 400 (bad request) or 404 (unknown route).
+Errors come back as ``{"ok": false, "error": ...}`` with status 400 (bad
+request) or 404 (unknown route).
 
 :class:`HttpStoreClient` is the in-repo client: a
 :class:`~repro.ngramstore.api.RemoteStore` over ``POST /query`` via
@@ -49,62 +43,30 @@ from urllib import parse as urllib_parse
 
 from repro.config import ServerConfig
 from repro.exceptions import StoreConnectionError, StoreError
-from repro.ngramstore.api import RemoteStore
+from repro.ngramstore.api import OPS, RemoteStore
 from repro.ngramstore.service import MAX_REQUEST_BYTES, StoreService
 from repro.util.metrics import default_registry
 from repro.util.timer import Stopwatch
 from repro.util.tracing import attach_trace
 
 #: GET routes that map straight to unified-schema operations.
-_GET_OPERATIONS = (
-    "ping",
-    "stats",
-    "server_stats",
-    "get",
-    "prefix",
-    "top_k",
-    "complete",
-    "compare",
-)
+GET_ROUTES = tuple(op.name for op in OPS.values() if op.http)
+
+#: Query-string fields of those routes, each read by its ``Arg.query``.
+_QUERY_ARGS = {arg.field: arg for op in OPS.values() if op.http for arg in op.args + op.terms if arg.query}
 
 #: Content type of the ``GET /metrics`` exposition (Prometheus text 0.0.4).
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
-def _parse_key_param(raw: str) -> Tuple[int, ...]:
-    """``"3,7"`` -> ``(3, 7)``; store keys are term identifiers."""
-    if raw == "":
-        return ()
-    try:
-        return tuple(int(part) for part in raw.split(","))
-    except ValueError:
-        raise StoreError(
-            f"key must be comma-separated term identifiers, got {raw!r} "
-            "(use terms= for surface terms)"
-        )
-
-
 def _request_from_query(operation: str, params: Dict[str, Any]) -> Dict[str, Any]:
     """Build a unified-schema request dict from GET query parameters."""
-    request: Dict[str, Any] = {"op": operation}
     if "terms" in params:
-        request["terms"] = params["terms"][-1].split(",")
-    elif "key" in params:
-        request["key"] = list(_parse_key_param(params["key"][-1]))
-    if "limit" in params:
-        try:
-            request["limit"] = int(params["limit"][-1])
-        except ValueError:
-            raise StoreError(f"limit must be an integer, got {params['limit'][-1]!r}")
-    if "k" in params:
-        try:
-            request["k"] = int(params["k"][-1])
-        except ValueError:
-            raise StoreError(f"k must be an integer, got {params['k'][-1]!r}")
-    if "order" in params:
-        request["order"] = params["order"][-1]
-    if "surface" in params:
-        request["surface"] = params["surface"][-1] not in ("", "0", "false", "no")
+        params.pop("key", None)  # surface terms win, as in the engine
+    request: Dict[str, Any] = {"op": operation}
+    for field, arg in _QUERY_ARGS.items():
+        if field in params:
+            request[field] = arg.query(params[field][-1], field)
     return request
 
 
@@ -125,17 +87,11 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
         try:
-            body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+            text = json.dumps(payload, separators=(",", ":"))
         except (TypeError, ValueError) as error:
             status = 500
-            body = json.dumps(
-                {"ok": False, "error": f"value is not JSON-serialisable: {error}"}
-            ).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+            text = json.dumps({"ok": False, "error": f"value is not JSON-serialisable: {error}"})
+        self._send_text(status, text, "application/json")
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
         body = text.encode("utf-8")
@@ -162,13 +118,13 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             service.metrics.record("metrics", watch.elapsed(), True)
             self._send_text(200, text, METRICS_CONTENT_TYPE)
             return
-        if operation not in _GET_OPERATIONS:
+        if operation not in GET_ROUTES:
             self._send_json(
                 404,
                 {
                     "ok": False,
                     "error": f"unknown route {parsed.path!r}; GET routes: "
-                    + ", ".join(f"/{name}" for name in _GET_OPERATIONS)
+                    + ", ".join(f"/{name}" for name in GET_ROUTES)
                     + ", /metrics; or POST /query",
                 },
             )

@@ -34,6 +34,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 from repro.exceptions import StoreConnectionError, StoreError
 from repro.ngramstore.api import (
     DEFAULT_COMPLETE_K,
+    OPS,
     Completion,
     NGramRecord,
     Record,
@@ -353,27 +354,12 @@ def _replicated(method: str) -> Callable[..., Any]:
     return call
 
 
-# Every operation is an idempotent read of identical stores, so each one is
-# the same delegation; only ``prefix`` (above) differs, by materialising.
-for _method in (
-    "get",
-    "multi_get",
-    "multi_prefix",
-    "top_k",
-    "complete",
-    "complete_terms",
-    "compare",
-    "compare_terms",
-    "stats",
-    "ping",
-    "translate_terms",
-    "render_ngrams",
-    "get_terms",
-    "multi_get_terms",
-    "prefix_terms",
-    "top_k_terms",
-):
-    setattr(ReplicaPool, _method, _replicated(_method))
+# Every operation is an idempotent read of identical stores, so each client
+# method of the op table is the same delegation; only ``prefix`` (above)
+# differs, by materialising.
+for _method in (name for op in OPS.values() for name in op.methods):
+    if _method not in vars(ReplicaPool):
+        setattr(ReplicaPool, _method, _replicated(_method))
 
 
 #: ``compare``'s answer for a key that exists in neither store.

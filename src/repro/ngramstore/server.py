@@ -16,37 +16,13 @@ line, the server answers with a framed hello, and both sides exchange
 varint-framed binary messages.  A connection that does not open with the
 magic is served newline-delimited JSON — one request object per line, one
 response object per line.  Both framings carry the same unified schema
-(:class:`~repro.ngramstore.api.QueryEngine`)::
+(:class:`~repro.ngramstore.api.QueryEngine`); every operation, its fields
+and an example exchange are in the op table
+(:data:`~repro.ngramstore.api.OPS`) and the README's op reference
+rendered from it::
 
     -> {"op": "get", "key": [3, 7]}
     <- {"ok": true, "found": true, "value": 42}
-
-    -> {"op": "multi_get", "keys": [[3, 7], [9]]}
-    <- {"ok": true, "found": [true, false], "values": [42, null]}
-
-    -> {"op": "prefix", "key": [3], "limit": 100}
-    <- {"ok": true, "records": [[[3, 7], 42], ...], "truncated": false}
-
-    -> {"op": "multi_prefix", "keys": [[3], [9]], "limit": 100}
-    <- {"ok": true, "results": [{"records": [...], "truncated": false}, ...]}
-
-    -> {"op": "top_k", "k": 10, "order": "frequency"}
-    <- {"ok": true, "records": [[[0], 981], ...]}
-
-    -> {"op": "complete", "terms": ["new", "york"], "k": 5}
-    <- {"ok": true, "completions": [["times", 87], ...], "truncated": false}
-
-    -> {"op": "compare", "key": [3, 7]}       # needs serve --extra-store
-    <- {"ok": true, "found_a": true, "value_a": 42,
-        "found_b": false, "value_b": null}
-
-    -> {"op": "translate", "terms": [["the", "quick"]]}
-    <- {"ok": true, "keys": [[0, 17]]}          # null for unknown terms
-
-    -> {"op": "render", "ngrams": [[0, 17]]}
-    <- {"ok": true, "terms": [["the", "quick"]]}
-
-    -> {"op": "stats"} | {"op": "server_stats"} | {"op": "ping"}
 
 Keys travel as arrays of term identifiers (the store's native keys);
 term-keyed variants (``"terms"`` instead of ``"key"``/``"keys"``, or
@@ -66,6 +42,7 @@ import math
 import socket
 import threading
 import time
+from contextlib import suppress
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import ServerConfig
@@ -87,6 +64,14 @@ def percentile(sorted_samples: List[float], fraction: float) -> float:
     """Nearest-rank percentile of an ascending sample list (must be non-empty)."""
     rank = max(1, min(len(sorted_samples), math.ceil(len(sorted_samples) * fraction)))
     return sorted_samples[rank - 1]
+
+
+def _shut(connection: socket.socket) -> None:
+    """Shut a socket down both ways and close it, ignoring one already gone."""
+    with suppress(OSError):
+        connection.shutdown(socket.SHUT_RDWR)
+    with suppress(OSError):
+        connection.close()
 
 
 class NGramStoreServer:
@@ -137,25 +122,11 @@ class NGramStoreServer:
             # shutdown() before close(): on Linux, close() alone does not
             # wake a thread blocked in accept() — it would sit there until
             # the next (never-coming) connection.
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            _shut(self._listener)
         with self._connections_lock:
             connections = list(self._connections)
         for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                connection.close()
-            except OSError:
-                pass
+            _shut(connection)
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
         self.service.close()
@@ -235,10 +206,8 @@ class NGramStoreServer:
         finally:
             with self._connections_lock:
                 self._connections.discard(connection)
-            try:
+            with suppress(OSError):
                 connection.close()
-            except OSError:
-                pass
             self._slots.release()
 
     def _serve_binary(self, connection: socket.socket, reader: Any) -> None:
@@ -346,18 +315,11 @@ class StoreClient(RemoteStore):
     # ------------------------------------------------------------ plumbing
     def _drop(self) -> None:
         """Forget the current connection (it is broken or being replaced)."""
-        if self._reader is not None:
-            try:
-                self._reader.close()
-            except OSError:
-                pass
-            self._reader = None
-        if self._socket is not None:
-            try:
-                self._socket.close()
-            except OSError:
-                pass
-            self._socket = None
+        for resource in (self._reader, self._socket):
+            if resource is not None:
+                with suppress(OSError):
+                    resource.close()
+        self._reader = self._socket = None
 
     def _connect(self) -> None:
         """Establish the connection, retrying refused/reset attempts.

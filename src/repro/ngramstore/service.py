@@ -20,11 +20,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.config import ServerConfig
 from repro.exceptions import StoreError
-from repro.ngramstore.api import OPERATIONS, QueryEngine, ensure_comparable_vocabulary
+from repro.ngramstore.api import OPS, QueryEngine, ensure_comparable_vocabulary
 from repro.ngramstore.lsm import is_lsm_dir, open_store_auto
 from repro.ngramstore.reader import NGramStore
 from repro.ngramstore.router import ShardView
@@ -36,11 +36,6 @@ from repro.util.tracing import SlowQueryLog, TraceContext
 #: Largest accepted request (a JSON line, a binary frame or an HTTP body);
 #: anything longer is a protocol error.
 MAX_REQUEST_BYTES = 1 << 20
-
-#: Operations that read blocks — the ones worth per-request I/O deltas.
-_READ_OPERATIONS = frozenset(
-    ("get", "multi_get", "prefix", "multi_prefix", "top_k", "complete", "compare")
-)
 
 #: ``io_stats()`` fields exposed as ``ngramstore_io_events`` gauges.
 _IO_EVENTS = (
@@ -54,22 +49,22 @@ _IO_EVENTS = (
 
 def request_key_count(request: Any) -> int:
     """How many keys a request asks about (for slow-query log lines)."""
-    if not isinstance(request, dict):
-        return 0
-    for field in ("keys", "ngrams"):
-        value = request.get(field)
-        if isinstance(value, list):
-            return len(value)
-    terms = request.get("terms")
-    if isinstance(terms, list):
-        # "terms" is either one surface key (list of strings) or a batch
-        # of them (list of lists, for multi_get / translate).
-        if terms and isinstance(terms[0], list):
-            return len(terms)
-        return 1
-    if isinstance(request.get("key"), list):
-        return 1
+    op = OPS.get(str(request.get("op"))) if isinstance(request, dict) else None
+    for arg in op.args_for(request)[1] if op is not None else ():
+        if arg.count is not None and isinstance(request.get(arg.field), list):
+            return arg.count(request[arg.field])
     return 0
+
+
+def _latency_summary(series: Dict[str, Any], quantiles: Tuple[float, ...]) -> Dict[str, float]:
+    """Total, mean and ``quantiles`` of one latency histogram's snapshot."""
+    summary = {
+        "total_ms": round(series["sum"] * 1e3, 3),
+        "mean_us": round(series["sum"] / series["count"] * 1e6, 1),
+    }
+    for quantile in quantiles:
+        summary[f"p{round(quantile * 100)}_us"] = round(snapshot_quantile(series, quantile) * 1e6, 1)
+    return summary
 
 
 class ServerMetrics:
@@ -144,35 +139,21 @@ class ServerMetrics:
             series["labels"]["op"]: int(series["value"])
             for series in self._request_errors.snapshot()
         }
-        operations: Dict[str, Any] = {}
-        for series in self._latency.snapshot():
-            operation = series["labels"]["op"]
-            count = series["count"]
-            if count == 0:
-                continue
-            total_s = series["sum"]
-            operations[operation] = {
-                "count": counts.get(operation, count),
-                "errors": errors.get(operation, 0),
-                "total_ms": round(total_s * 1e3, 3),
-                "mean_us": round(total_s / count * 1e6, 1),
-                "p50_us": round(snapshot_quantile(series, 0.50) * 1e6, 1),
-                "p90_us": round(snapshot_quantile(series, 0.90) * 1e6, 1),
-                "p99_us": round(snapshot_quantile(series, 0.99) * 1e6, 1),
+        operations = {
+            series["labels"]["op"]: {
+                "count": counts.get(series["labels"]["op"], series["count"]),
+                "errors": errors.get(series["labels"]["op"], 0),
+                **_latency_summary(series, (0.50, 0.90, 0.99)),
                 "max_us": round(series["max"] * 1e6, 1),
             }
-        stages: Dict[str, Any] = {}
-        for series in self._stages.snapshot():
-            count = series["count"]
-            if count == 0:
-                continue
-            stages[series["labels"]["stage"]] = {
-                "count": count,
-                "total_ms": round(series["sum"] * 1e3, 3),
-                "mean_us": round(series["sum"] / count * 1e6, 1),
-                "p50_us": round(snapshot_quantile(series, 0.50) * 1e6, 1),
-                "p99_us": round(snapshot_quantile(series, 0.99) * 1e6, 1),
-            }
+            for series in self._latency.snapshot()
+            if series["count"]
+        }
+        stages = {
+            series["labels"]["stage"]: {"count": series["count"], **_latency_summary(series, (0.50, 0.99))}
+            for series in self._stages.snapshot()
+            if series["count"]
+        }
         return {
             "uptime_s": round(time.time() - self.started_at, 3),
             "connections_accepted": self.connections_accepted,
@@ -365,7 +346,8 @@ class StoreService:
         ``None`` for operations that never touch blocks (ping, stats, ...)
         or stores that expose neither surface — the delta is then skipped.
         """
-        if operation not in _READ_OPERATIONS:
+        op = OPS.get(operation)
+        if op is None or op.access != "blocks":
             return None
         counters: Dict[str, float] = {}
         if hasattr(self.store, "io_stats"):
@@ -424,7 +406,7 @@ class StoreService:
         elapsed = watch.elapsed() + parse_seconds
         # Clamp to the known set: client-chosen strings must not grow the
         # metrics dict without bound on a long-lived server.
-        bucket = operation if operation in OPERATIONS else "invalid"
+        bucket = operation if operation in OPS else "invalid"
         self._observe(trace, bucket, request, elapsed, response["ok"], io_before)
         return response
 

@@ -78,6 +78,8 @@ def prefix_records(scan, prefix: Tuple) -> Iterator[Record]:
 
 def validate_top_k(k: int, order: str) -> None:
     """Reject invalid top-k parameters (shared by every top-k entry point)."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise StoreError(f"top_k k must be an integer, got {k!r}")
     if order not in TOP_K_ORDERS:
         raise StoreError(f"top_k order must be one of {', '.join(TOP_K_ORDERS)}, got {order!r}")
     if k < 1:

@@ -24,14 +24,17 @@ import socket
 import subprocess
 import sys
 import urllib.error
+import urllib.parse
 import urllib.request
 from itertools import chain
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.config import ServerConfig, StoreConfig
 from repro.corpus.vocabulary import Vocabulary
+from repro.exceptions import StoreError
 from repro.ngramstore import (
     BlockCache,
     GenerationView,
@@ -50,7 +53,8 @@ from repro.ngramstore import (
     build_store,
     open_store_auto,
 )
-from repro.ngramstore.api import OPERATIONS
+from repro.ngramstore.api import MAX_BATCH_KEYS, OPERATIONS, OPS, RemoteStore, render_op_reference
+from repro.ngramstore.http import GET_ROUTES, _request_from_query
 
 MAX_TERM = 50
 
@@ -385,6 +389,18 @@ class TestConformance:
             assert api.complete_terms(terms, 6) == rendered
         assert api.complete_terms(["no-such-term"], 6) == []
 
+    def test_bad_arguments_are_store_errors(self, api, reference):
+        """Every implementation refuses a bad k, order or limit the same way."""
+        term = next(iter(reference["prefixes"]))
+        calls = [lambda k=k: api.top_k(k) for k in (True, "3", 0)]
+        calls += [lambda: api.top_k(3, order="bogus")]
+        calls += [lambda k=k: api.complete((term,), k) for k in (True, "3", 0)]
+        calls += [lambda limit=limit: api.prefix((term,), limit=limit) for limit in (True, False, -1, "3")]
+        calls += [lambda: api.multi_prefix([(term,)], limit=True)]
+        for call in calls:
+            with pytest.raises(StoreError):
+                list(call())
+
     def _comparer(self, api, extra_store_dir):
         """``compare``/``compare_terms`` callables for this implementation.
 
@@ -489,31 +505,14 @@ class TestArchitecture:
 class TestTransportsShareOneExecute:
     """Both front-ends run ``StoreService.execute``: same answers, same counts."""
 
-    def requests(self, reference):
-        key = sorted(reference["expected"])[3]
-        terms = [term_for(term_id) for term_id in key]
-        by_operation = {
-            "get": {"op": "get", "key": list(key)},
-            "multi_get": {"op": "multi_get", "keys": [list(key), [MAX_TERM + 1000]]},
-            "prefix": {"op": "prefix", "terms": terms[:1], "limit": 4},
-            "multi_prefix": {"op": "multi_prefix", "keys": [list(key[:1])], "limit": 2},
-            "top_k": {"op": "top_k", "k": 3, "surface": True},
-            "complete": {"op": "complete", "key": list(key[:1]), "k": 3},
-            "compare": {"op": "compare", "key": list(key)},
-            "translate": {"op": "translate", "terms": [terms, ["no-such-term"]]},
-            "render": {"op": "render", "ngrams": [list(key)]},
-            "stats": {"op": "stats"},
-            "server_stats": {"op": "server_stats"},
-            "metrics": {"op": "metrics"},
-            "ping": {"op": "ping"},
-        }
-        assert set(by_operation) == set(OPERATIONS)
-        bodies = [json.dumps(by_operation[operation]).encode() for operation in OPERATIONS]
+    def requests(self):
+        """Every op table row's example request, then four bad ones."""
+        bodies = [json.dumps(OPS[operation].request).encode() for operation in OPERATIONS]
         return bodies + [
             b"this is not json",
             b"[1, 2, 3]",
             json.dumps({"op": "frobnicate"}).encode(),
-            json.dumps({"op": "get", "ngram": list(key)}).encode(),
+            json.dumps({"op": "get", "ngram": [3, 7]}).encode(),
         ]
 
     @staticmethod
@@ -532,11 +531,9 @@ class TestTransportsShareOneExecute:
             for operation, entry in stats["operations"].items()
         }
 
-    def test_identical_answers_and_operation_counts(
-        self, store_dir, extra_store_dir, reference
-    ):
+    def test_identical_answers_and_operation_counts(self, store_dir, extra_store_dir):
         config = ServerConfig(port=0, extra_store=extra_store_dir)
-        bodies = self.requests(reference)
+        bodies = self.requests()
         with NGramStoreServer(store_dir, config=config) as socket_server:
             with socket.create_connection((socket_server.host, socket_server.port)) as raw:
                 reader = raw.makefile("rb")
@@ -563,12 +560,67 @@ class TestTransportsShareOneExecute:
             False
         ] * 4
         assert "key must be a JSON array" in socket_answers[-1]["error"]
+        for operation, answer in zip(OPERATIONS, socket_answers):
+            # The documented reply names fields every real answer carries.
+            assert set(OPS[operation].reply) <= set(answer), operation
         assert [self.comparable(answer) for answer in http_answers] == [
             self.comparable(answer) for answer in socket_answers
         ]
         assert http_counts == socket_counts
         assert socket_counts["invalid"] == (3, 3)
         assert socket_counts["get"] == (2, 1)
+
+
+class SpyStore(StoreAPI):
+    """Records every batch the engine asks it to translate; knows no key."""
+
+    def __init__(self):
+        self.translated = []
+
+    def translate_terms(self, items):
+        self.translated.append(len(items))
+        return [None] * len(items)
+
+    def get(self, ngram, default=None):
+        return default
+
+
+class TestOpTable:
+    """Each op is declared once, and every surface derived from it serves it."""
+
+    @pytest.mark.parametrize("operation", OPERATIONS)
+    def test_every_row_reaches_every_surface(self, operation, topology):
+        op = OPS[operation]
+        for method in op.methods:
+            # Defined by the classes themselves, not inherited from StoreAPI.
+            assert method in vars(RemoteStore) and method in vars(ReplicaPool)
+        assert (operation in GET_ROUTES) == op.http
+        if op.http:
+            with urllib.request.urlopen(topology["http_url"] + op.route) as reply:
+                assert reply.status == 200
+                assert json.loads(reply.read())["ok"] is True
+
+    @pytest.mark.parametrize("operation", GET_ROUTES)
+    def test_get_route_reads_back_the_example(self, operation):
+        op = OPS[operation]
+        query = urllib.parse.parse_qs(urllib.parse.urlsplit(op.route).query)
+        assert _request_from_query(operation, query) == op.request
+
+    def test_readme_op_reference_is_rendered_from_the_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("<!-- op-reference:start", 1)[1].split("-->", 1)[1]
+        block = block.split("<!-- op-reference:end -->", 1)[0]
+        assert block.strip("\n") == render_op_reference()
+
+    def test_over_cap_terms_batch_is_refused_before_translation(self):
+        spy = SpyStore()
+        engine = QueryEngine(spy)
+        with pytest.raises(StoreError, match="must be <="):
+            engine.handle({"op": "multi_get", "terms": [["w01"]] * (MAX_BATCH_KEYS + 1)})
+        assert spy.translated == []
+        answer = engine.handle({"op": "multi_get", "terms": [["w01"], ["w02"]]})
+        assert answer == {"found": [False, False], "values": [None, None]}
+        assert spy.translated == [2]
 
 
 class TestQueryCLIRemote:

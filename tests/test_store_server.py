@@ -109,8 +109,10 @@ class TestProtocol:
                 client.top_k(0)
             with pytest.raises(StoreError, match="order"):
                 client.top_k(3, order="bogus")
-            with pytest.raises(StoreError, match="limit"):
-                client._call({"op": "prefix", "key": [1], "limit": -4})
+            # A bool is not a limit: true used to answer one record, false none.
+            for limit in (-4, True, False):
+                with pytest.raises(StoreError, match="limit"):
+                    client._call({"op": "prefix", "key": [1], "limit": limit})
             # The pre-redesign spellings are no longer mapped onto "key".
             for request in ({"op": "get", "ngram": [1]}, {"op": "prefix", "tokens": [1]}):
                 with pytest.raises(StoreError, match="key must be a JSON array"):
