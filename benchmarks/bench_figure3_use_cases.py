@@ -18,7 +18,7 @@ from repro.harness.figures import figure3_use_cases
 from repro.harness.report import format_measurements
 
 
-def _best_competitor(measurements, metric="simulated_wallclock_seconds"):
+def _best_competitor(measurements, metric="wallclock_seconds"):
     others = [m for m in measurements if m.algorithm != "SUFFIX-SIGMA"]
     suffix = [m for m in measurements if m.algorithm == "SUFFIX-SIGMA"]
     assert suffix and others

@@ -48,8 +48,8 @@ def main() -> None:
             fixed_tau=spec.default_tau,
             fixed_sigma=5,
         )
-        print(f"\n--- {spec.name}: simulated wallclock (s) per tau ---")
-        print(format_sweep(sweep, metric="simulated_s", parameter_label="method"))
+        print(f"\n--- {spec.name}: measured wallclock (s) per tau ---")
+        print(format_sweep(sweep, metric="wallclock_s", parameter_label="method"))
         print(f"\n--- {spec.name}: records shuffled per tau ---")
         print(format_sweep(sweep, metric="records", parameter_label="method"))
 

@@ -4,7 +4,8 @@ The package is organised in layers:
 
 ``repro.mapreduce``
     An in-process MapReduce engine (jobs, shuffle, counters, partitioners,
-    sort comparators, multi-job pipelines, a simulated cluster cost model).
+    sort comparators, multi-job pipelines) running jobs inline or on a pool
+    of worker processes.
 
 ``repro.corpus``
     The document-collection substrate: documents, tokenisation, sentence
@@ -28,7 +29,7 @@ The package is organised in layers:
 
 ``repro.harness``
     The experiment harness reproducing every table and figure of the paper's
-    evaluation section.
+    evaluation section from measured wallclock, bytes and records.
 
 The most common entry points are re-exported here for convenience.
 """

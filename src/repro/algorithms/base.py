@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.algorithms.doc_split import split_sequence_at_infrequent_terms, unigram_frequencies
-from repro.config import ClusterConfig, ExecutionConfig, NGramJobConfig, StoreConfig
+from repro.config import ExecutionConfig, NGramJobConfig, StoreConfig
 from repro.exceptions import ConfigurationError
 from repro.mapreduce.process import make_runner
-from repro.mapreduce.cluster import ClusterCostModel
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.dataset import Dataset
 from repro.mapreduce.pipeline import JobPipeline, PipelineResult
@@ -90,11 +89,6 @@ class CountingResult:
     def map_output_bytes(self) -> int:
         """The paper's "bytes transferred" measure (aggregated over all jobs)."""
         return self.counters.map_output_bytes
-
-    def simulated_wallclock(self, cluster: ClusterConfig) -> float:
-        """Simulated cluster wallclock under ``cluster`` (Figure 6/7 metric)."""
-        model = ClusterCostModel(cluster)
-        return model.estimate_pipeline(self.pipeline.job_metrics)
 
 
 class NGramCounter:

@@ -1468,6 +1468,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.harness.experiment import ExperimentRunner
 
     datasets = default_datasets(scale=args.scale)
+    if args.name == "fig7" and (args.runner != "local" or args.workers is not None):
+        # Figure 7 sweeps the processes executor over its own worker counts.
+        raise SystemExit("error: --runner/--workers are not supported for fig7")
     execution = _execution_from_args(args)
     if execution is not None and args.name in ("table1", "extensions"):
         # table1 launches no MapReduce jobs; the extensions overview includes
@@ -1513,11 +1516,15 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 fractions=fractions if fractions is not None else figures.DATASET_FRACTIONS,
             )
         else:
-            sweeps = figures.figure7_scale_slots(datasets, execution=execution)
+            sweeps = figures.figure7_scale_slots(
+                datasets, execution=execution, track_memory=args.track_memory
+            )
+        x_label = {"fig4": "tau", "fig5": "sigma", "fig6": "fraction_pct", "fig7": "workers"}
         for name, sweep in sweeps.items():
             print(f"== {name} ==")
-            print(format_sweep(sweep, metric="simulated_s", parameter_label="method"))
-            print(format_sweep(sweep, metric="records", parameter_label="method"))
+            for metric in ("wallclock_s", "records"):
+                print(f"{metric} by {x_label[args.name]}:")
+                print(format_sweep(sweep, metric=metric, parameter_label="method"))
             for measurements in sweep.values():
                 exported.extend(measurements)
     elif args.name == "extensions":
@@ -1533,7 +1540,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         ]
         print(format_table(rows))
     elif args.name == "ablations":
-        measurements = figures.ablation_implementation_choices(datasets[0], execution=execution)
+        measurements = figures.ablation_implementation_choices(
+            datasets[0], execution=execution, track_memory=args.track_memory
+        )
         print(format_measurements(measurements))
         exported.extend(measurements)
     if getattr(args, "export", None) and exported:

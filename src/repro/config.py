@@ -415,37 +415,3 @@ class ServerConfig:
                 "slow_query_log requires slow_query_ms (a log with no "
                 "threshold would never be written)"
             )
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Configuration of the simulated cluster used for wallclock modelling.
-
-    The paper's cluster has nine worker nodes, each running up to ten map and
-    ten reduce tasks; experiments vary the number of *slots* (Section VII.H).
-    The cost-model parameters below are expressed in abstract time units; only
-    relative wallclock matters for the reproduction.
-    """
-
-    map_slots: int = 4
-    reduce_slots: int = 4
-    job_overhead: float = 0.3
-    per_record_map_cost: float = 5e-5
-    per_byte_shuffle_cost: float = 2e-7
-    per_record_reduce_cost: float = 5e-5
-    per_record_sort_cost: float = 5e-6
-    task_overhead: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.map_slots < 1 or self.reduce_slots < 1:
-            raise ConfigurationError("map_slots and reduce_slots must be >= 1")
-        if self.job_overhead < 0:
-            raise ConfigurationError("job_overhead must be >= 0")
-
-    @classmethod
-    def with_slots(cls, slots: int, **overrides: float) -> "ClusterConfig":
-        """Create a configuration with ``slots`` map slots and reduce slots."""
-        return cls(map_slots=slots, reduce_slots=slots, **overrides)  # type: ignore[arg-type]
-
-
-DEFAULT_CLUSTER = ClusterConfig()

@@ -8,12 +8,11 @@ methods × parameter values the way the paper's figures do.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.algorithms import ALGORITHMS, make_counter
 from repro.algorithms.base import CountingResult
-from repro.config import ClusterConfig, ExecutionConfig, NGramJobConfig, StoreConfig
+from repro.config import ExecutionConfig, NGramJobConfig
 from repro.exceptions import ExperimentError
 from repro.harness.measurement import RunMeasurement
 
@@ -31,7 +30,6 @@ class ExperimentRunner:
 
     def __init__(
         self,
-        cluster: Optional[ClusterConfig] = None,
         num_reducers: int = 4,
         num_map_tasks: int = 8,
         use_combiner: bool = True,
@@ -39,18 +37,12 @@ class ExperimentRunner:
         apriori_index_k: int = 4,
         execution: Optional[ExecutionConfig] = None,
         track_memory: bool = False,
-        store_dir: Optional[str] = None,
-        store: Optional[StoreConfig] = None,
     ) -> None:
         """``execution`` selects the MapReduce backend (runner, worker count,
         shuffle spill budget, dataset materialisation) every measured run
         executes on; ``None`` is the sequential in-memory default.  With
         ``track_memory`` every run also records its peak of Python-level
-        allocations on the measurement.  With ``store_dir`` every run's
-        statistics are persisted as a queryable n-gram store under
-        ``store_dir/<dataset>-<algorithm>-tau<t>-sigma<s>`` (configured by
-        ``store``), so experiment sweeps leave servable artifacts behind."""
-        self.cluster = cluster if cluster is not None else ClusterConfig()
+        allocations on the measurement."""
         self.num_reducers = num_reducers
         self.num_map_tasks = num_map_tasks
         self.use_combiner = use_combiner
@@ -58,65 +50,7 @@ class ExperimentRunner:
         self.apriori_index_k = apriori_index_k
         self.execution = execution
         self.track_memory = track_memory
-        self.store_dir = store_dir
-        self.store = store
 
-    def _run_store_dir(
-        self,
-        algorithm: str,
-        dataset_name: str,
-        min_frequency: int,
-        max_length: Optional[int],
-    ) -> Optional[str]:
-        if self.store_dir is None:
-            return None
-        sigma = "inf" if max_length is None else str(max_length)
-        slug = f"{dataset_name}-{algorithm}-tau{min_frequency}-sigma{sigma}"
-        safe = "".join(ch if ch.isalnum() or ch in "-_." else "-" for ch in slug)
-        # Sweeps (e.g. figure 6's dataset fractions) repeat the same
-        # (dataset, algorithm, tau, sigma) cell; suffix a run counter so a
-        # later run never overwrites an earlier run's store.
-        base = os.path.join(self.store_dir, safe.lower())
-        candidate, attempt = base, 1
-        while os.path.exists(candidate):
-            attempt += 1
-            candidate = f"{base}-{attempt}"
-        return candidate
-
-    # ------------------------------------------------------------ plumbing
-    def _make_config(self, min_frequency: int, max_length: Optional[int]) -> NGramJobConfig:
-        return NGramJobConfig(
-            min_frequency=min_frequency,
-            max_length=max_length,
-            num_reducers=self.num_reducers,
-            use_combiner=self.use_combiner,
-            split_documents=self.split_documents,
-            apriori_index_k=self.apriori_index_k,
-        )
-
-    def _measure(
-        self,
-        algorithm: str,
-        dataset_name: str,
-        result: CountingResult,
-        cluster: Optional[ClusterConfig] = None,
-    ) -> RunMeasurement:
-        cluster = cluster if cluster is not None else self.cluster
-        return RunMeasurement(
-            algorithm=algorithm,
-            dataset=dataset_name,
-            min_frequency=result.config.min_frequency,
-            max_length=result.config.max_length,
-            wallclock_seconds=result.elapsed_seconds,
-            simulated_wallclock_seconds=result.simulated_wallclock(cluster),
-            map_output_records=result.map_output_records,
-            map_output_bytes=result.map_output_bytes,
-            num_jobs=result.num_jobs,
-            num_ngrams=len(result.statistics),
-            peak_memory_bytes=result.peak_memory_bytes,
-        )
-
-    # ----------------------------------------------------------------- API
     def run_once(
         self,
         algorithm: str,
@@ -124,21 +58,34 @@ class ExperimentRunner:
         dataset_name: str,
         min_frequency: int,
         max_length: Optional[int],
-        cluster: Optional[ClusterConfig] = None,
     ) -> Tuple[RunMeasurement, CountingResult]:
         """Run ``algorithm`` once, returning the measurement and the result."""
         if algorithm not in ALGORITHMS:
             raise ExperimentError(f"unknown algorithm {algorithm!r}")
-        config = self._make_config(min_frequency, max_length)
+        config = NGramJobConfig(
+            min_frequency=min_frequency,
+            max_length=max_length,
+            num_reducers=self.num_reducers,
+            use_combiner=self.use_combiner,
+            split_documents=self.split_documents,
+            apriori_index_k=self.apriori_index_k,
+        )
         counter = make_counter(algorithm, config, execution=self.execution)
         counter.num_map_tasks = self.num_map_tasks
-        result = counter.run(
-            collection,
-            track_memory=self.track_memory,
-            store_dir=self._run_store_dir(algorithm, dataset_name, min_frequency, max_length),
-            store=self.store,
+        result = counter.run(collection, track_memory=self.track_memory)
+        measurement = RunMeasurement(
+            algorithm=algorithm,
+            dataset=dataset_name,
+            min_frequency=min_frequency,
+            max_length=max_length,
+            wallclock_seconds=result.elapsed_seconds,
+            map_output_records=result.map_output_records,
+            map_output_bytes=result.map_output_bytes,
+            num_jobs=result.num_jobs,
+            num_ngrams=len(result.statistics),
+            peak_memory_bytes=result.peak_memory_bytes,
         )
-        return self._measure(algorithm, dataset_name, result, cluster), result
+        return measurement, result
 
     def compare_methods(
         self,

@@ -2,8 +2,9 @@
 
 The benchmark harness prints paper-style tables; for downstream analysis
 (plotting, regression tracking across commits) the same data can be exported
-as machine-readable files.  Both flat measurement lists and parameter sweeps
-are supported.
+as machine-readable files, one row per measurement.  A sweep's rows carry
+their x-axis value in the measurement itself (``tau``, ``sigma``,
+``fraction_pct`` or ``workers``), so one writer serves every figure.
 """
 
 from __future__ import annotations
@@ -11,19 +12,20 @@ from __future__ import annotations
 import csv
 import json
 import os
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.harness.measurement import RunMeasurement
 
-#: Column order used for CSV exports (matches the report tables; the
-#: peak-memory column is empty unless the run tracked memory).
+#: Column order used for CSV exports and the report tables; the swept-value
+#: and peak-memory columns are empty unless the run recorded them.
 CSV_COLUMNS: Sequence[str] = (
     "dataset",
     "algorithm",
     "tau",
     "sigma",
+    "fraction_pct",
+    "workers",
     "wallclock_s",
-    "simulated_s",
     "records",
     "bytes",
     "jobs",
@@ -58,35 +60,6 @@ def write_measurements_json(measurements: Iterable[RunMeasurement], path: str) -
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(rows, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def sweep_to_rows(
-    sweep: Mapping[object, List[RunMeasurement]], parameter_name: str = "value"
-) -> List[Dict[str, object]]:
-    """Flatten a parameter sweep into one row per (parameter value, method)."""
-    rows: List[Dict[str, object]] = []
-    for value, measurements in sweep.items():
-        for measurement in measurements:
-            row = measurement.as_row()
-            row[parameter_name] = value
-            rows.append(row)
-    return rows
-
-
-def write_sweep_csv(
-    sweep: Mapping[object, List[RunMeasurement]],
-    path: str,
-    parameter_name: str = "value",
-) -> None:
-    """Write a parameter sweep to ``path`` as CSV (one row per value × method)."""
-    rows = sweep_to_rows(sweep, parameter_name)
-    columns = [parameter_name] + list(CSV_COLUMNS)
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
 
 
 def read_measurements_json(path: str) -> List[Dict[str, object]]:

@@ -2,8 +2,9 @@
 
 Every function returns plain data structures (measurements, sweeps,
 histograms) and leaves formatting to :mod:`repro.harness.report`; the
-benchmark scripts under ``benchmarks/`` call these drivers and print the
-paper-style rows recorded in ``EXPERIMENTS.md``.
+benchmark scripts under ``benchmarks/`` and ``repro experiment`` call these
+functions and print the paper-style rows.  Every wallclock is measured
+in-process; nothing is modelled.
 
 The experiments mirror the paper's settings with scaled-down datasets and τ
 values (see :mod:`repro.harness.datasets`):
@@ -16,13 +17,15 @@ values (see :mod:`repro.harness.datasets`):
 * Figure 4 — sweep of the minimum collection frequency τ at σ=5;
 * Figure 5 — sweep of the maximum length σ at a per-dataset τ;
 * Figure 6 — scaling the datasets (25/50/75/100 % document samples);
-* Figure 7 — scaling computational resources (slots) via the cluster cost
-  model applied to a 50 % sample.
+* Figure 7 — scaling computational resources: a 50 % sample counted on the
+  ``processes`` executor with 1, 2, 4, ... worker processes, up to the CPUs
+  this process may use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms import make_counter
@@ -31,17 +34,14 @@ from repro.algorithms.extensions import (
     MaximalNGramCounter,
     SuffixSigmaTimeSeriesCounter,
 )
-from repro.config import ClusterConfig, ExecutionConfig, NGramJobConfig
+from repro.config import ExecutionConfig, NGramJobConfig
 from repro.corpus.stats import CollectionStatistics, compute_statistics
 from repro.harness.datasets import DatasetSpec, default_datasets
-from repro.harness.experiment import DEFAULT_METHODS, ExperimentRunner
+from repro.harness.experiment import ExperimentRunner
 from repro.harness.measurement import RunMeasurement
 
 #: Fractions used by the dataset-scaling experiment (Figure 6).
 DATASET_FRACTIONS: Tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
-
-#: Slot counts used by the resource-scaling experiment (Figure 7).
-SLOT_COUNTS: Tuple[int, ...] = (16, 32, 48, 64)
 
 
 # ---------------------------------------------------------------- Table I
@@ -171,59 +171,67 @@ def figure6_scale_datasets(
         sweep: Dict[object, List[RunMeasurement]] = {}
         for fraction in fractions:
             collection = spec.build(fraction=fraction)
-            sweep[int(fraction * 100)] = runner.compare_methods(
-                collection, spec.name, spec.default_tau, 5
-            )
+            percent = int(fraction * 100)
+            sweep[percent] = [
+                replace(measurement, fraction_pct=percent)
+                for measurement in runner.compare_methods(
+                    collection, spec.name, spec.default_tau, 5
+                )
+            ]
         sweeps[spec.name] = sweep
     return sweeps
 
 
 # --------------------------------------------------------------- Figure 7
+def available_worker_counts() -> Tuple[int, ...]:
+    """Powers of two up to the CPUs this process may run on: 1, 2, 4, ..."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return tuple(2**exponent for exponent in range(cpus.bit_length()))
+
+
 def figure7_scale_slots(
     datasets: Optional[Sequence[DatasetSpec]] = None,
-    slot_counts: Sequence[int] = SLOT_COUNTS,
+    worker_counts: Optional[Sequence[int]] = None,
     fraction: float = 0.5,
     execution: Optional[ExecutionConfig] = None,
+    track_memory: bool = False,
 ) -> Dict[str, Dict[object, List[RunMeasurement]]]:
-    """Simulated wallclock versus the number of map/reduce slots (Figure 7).
+    """Measured wallclock versus the number of worker processes (Figure 7).
 
-    Each method runs once per dataset on a 50 % sample with a task count
-    larger than the largest slot count; the simulated-cluster cost model then
-    evaluates the same measured task metrics under every slot count, exactly
-    how a scheduler with more slots would process the same tasks.
-    ``execution`` selects the backend the measured runs execute on.
+    The paper varies the map/reduce slots of its cluster; here every method
+    runs on a 50 % sample once per worker count (default
+    :func:`available_worker_counts`) on the ``processes`` executor.  Map and
+    reduce task counts equal the largest worker count, so every run executes
+    the same tasks and only their parallelism changes: records, bytes, jobs
+    and n-grams are identical across worker counts.  ``execution`` supplies
+    the spill budget, materialisation and codec; its runner and worker count
+    are replaced.
     """
     datasets = list(datasets) if datasets is not None else default_datasets()
-    runner = ExperimentRunner(num_map_tasks=96, num_reducers=16, execution=execution)
+    if worker_counts is None:
+        worker_counts = available_worker_counts()
+    tasks = max(worker_counts)
+    base = execution if execution is not None else ExecutionConfig()
     sweeps: Dict[str, Dict[object, List[RunMeasurement]]] = {}
     for spec in datasets:
         collection = spec.build(fraction=fraction)
-        per_method_results = {}
-        for method in DEFAULT_METHODS:
-            _, result = runner.run_once(
-                method, collection, spec.name, spec.default_tau, 5
-            )
-            per_method_results[method] = result
         sweep: Dict[object, List[RunMeasurement]] = {}
-        for slots in slot_counts:
-            cluster = ClusterConfig.with_slots(slots)
-            measurements = []
-            for method, result in per_method_results.items():
-                measurements.append(
-                    RunMeasurement(
-                        algorithm=method,
-                        dataset=spec.name,
-                        min_frequency=spec.default_tau,
-                        max_length=5,
-                        wallclock_seconds=result.elapsed_seconds,
-                        simulated_wallclock_seconds=result.simulated_wallclock(cluster),
-                        map_output_records=result.map_output_records,
-                        map_output_bytes=result.map_output_bytes,
-                        num_jobs=result.num_jobs,
-                        num_ngrams=len(result.statistics),
-                    )
+        for workers in worker_counts:
+            runner = ExperimentRunner(
+                num_map_tasks=tasks,
+                num_reducers=tasks,
+                execution=replace(base, runner="processes", max_workers=workers),
+                track_memory=track_memory,
+            )
+            sweep[workers] = [
+                replace(measurement, workers=workers)
+                for measurement in runner.compare_methods(
+                    collection, spec.name, spec.default_tau, 5
                 )
-            sweep[slots] = measurements
+            ]
         sweeps[spec.name] = sweep
     return sweeps
 
@@ -276,19 +284,18 @@ def ablation_implementation_choices(
     min_frequency: Optional[int] = None,
     max_length: Optional[int] = 5,
     execution: Optional[ExecutionConfig] = None,
+    track_memory: bool = False,
 ) -> List[RunMeasurement]:
     """Effect of the Section V implementation techniques.
 
     Compares, on the NYT-like dataset: NAIVE with and without the combiner,
     NAIVE and SUFFIX-σ with and without document splitting, and APRIORI-SCAN
     with the spilling key-value-store dictionary.  ``execution`` selects the
-    backend every variant runs on.
+    backend every variant runs on; ``track_memory`` records each run's peak.
     """
     spec = dataset if dataset is not None else default_datasets()[0]
     tau = min_frequency if min_frequency is not None else spec.default_tau
     collection = spec.build()
-    measurements: List[RunMeasurement] = []
-
     variants = [
         ("NAIVE", {"use_combiner": True, "split_documents": False}, "NAIVE+combiner"),
         ("NAIVE", {"use_combiner": False, "split_documents": False}, "NAIVE-no-combiner"),
@@ -298,25 +305,9 @@ def ablation_implementation_choices(
         ("APRIORI-SCAN", {"split_documents": False}, "APRIORI-SCAN"),
         ("APRIORI-SCAN", {"split_documents": True}, "APRIORI-SCAN+split"),
     ]
+    measurements: List[RunMeasurement] = []
     for method, overrides, label in variants:
-        runner = ExperimentRunner(execution=execution, **{
-            key: value
-            for key, value in overrides.items()
-            if key in ("use_combiner", "split_documents")
-        })
+        runner = ExperimentRunner(execution=execution, track_memory=track_memory, **overrides)
         measurement, _ = runner.run_once(method, collection, spec.name, tau, max_length)
-        measurements.append(
-            RunMeasurement(
-                algorithm=label,
-                dataset=measurement.dataset,
-                min_frequency=measurement.min_frequency,
-                max_length=measurement.max_length,
-                wallclock_seconds=measurement.wallclock_seconds,
-                simulated_wallclock_seconds=measurement.simulated_wallclock_seconds,
-                map_output_records=measurement.map_output_records,
-                map_output_bytes=measurement.map_output_bytes,
-                num_jobs=measurement.num_jobs,
-                num_ngrams=measurement.num_ngrams,
-            )
-        )
+        measurements.append(replace(measurement, algorithm=label))
     return measurements

@@ -4,9 +4,11 @@ Section VII.A of the paper lists the reported measures: (a) wallclock time,
 (b) bytes transferred between map and reduce phases (``MAP_OUTPUT_BYTES``),
 and (c) the number of key-value records transferred and sorted
 (``MAP_OUTPUT_RECORDS``); for multi-job methods, (b) and (c) aggregate over
-all jobs launched.  :class:`RunMeasurement` captures these three plus the
-simulated-cluster wallclock used for the scaling experiments and some
-context (dataset, parameters, result size).
+all jobs launched.  :class:`RunMeasurement` captures these three plus some
+context (dataset, parameters, result size).  The wallclock is measured
+in-process around the whole computation; nothing is modelled.  The scaling
+experiments also record the value they sweep: the document sample in
+percent (Figure 6) or the number of worker processes (Figure 7).
 
 Beyond the paper's measures, a run can carry the tracked peak of
 Python-level allocations (``peak_memory_bytes``, measured with
@@ -34,12 +36,13 @@ class RunMeasurement:
     min_frequency: int
     max_length: Optional[int]
     wallclock_seconds: float
-    simulated_wallclock_seconds: float
     map_output_records: int
     map_output_bytes: int
     num_jobs: int
     num_ngrams: int
     peak_memory_bytes: Optional[int] = None
+    fraction_pct: Optional[int] = None
+    workers: Optional[int] = None
     extra: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -54,8 +57,9 @@ class RunMeasurement:
             "dataset": self.dataset,
             "tau": self.min_frequency,
             "sigma": self.sigma_label,
+            "fraction_pct": self.fraction_pct,
+            "workers": self.workers,
             "wallclock_s": round(self.wallclock_seconds, 3),
-            "simulated_s": round(self.simulated_wallclock_seconds, 3),
             "records": self.map_output_records,
             "bytes": self.map_output_bytes,
             "jobs": self.num_jobs,

@@ -2,14 +2,14 @@
 
 The harness prints fixed-width tables (one row per measurement or one row
 per method with one column per swept parameter value) so the benchmark
-output can be compared side-by-side with the paper's plots and recorded in
-``EXPERIMENTS.md``.
+output can be compared side-by-side with the paper's plots.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
+from repro.harness.export import CSV_COLUMNS
 from repro.harness.measurement import RunMeasurement
 
 
@@ -38,26 +38,19 @@ def format_table(
 def format_measurements(measurements: Iterable[RunMeasurement]) -> str:
     """One row per measurement, with the paper's three measures."""
     rows = [measurement.as_row() for measurement in measurements]
+    # The swept values and the peak memory are shown only when recorded.
+    optional = ("fraction_pct", "workers", "peak_mem_bytes")
     columns = [
-        "dataset",
-        "algorithm",
-        "tau",
-        "sigma",
-        "wallclock_s",
-        "simulated_s",
-        "records",
-        "bytes",
-        "jobs",
-        "ngrams",
+        column
+        for column in CSV_COLUMNS
+        if column not in optional or any(row[column] is not None for row in rows)
     ]
-    if any(row.get("peak_mem_bytes") is not None for row in rows):
-        columns.append("peak_mem_bytes")
     return format_table(rows, columns)
 
 
 def format_sweep(
     sweep: Mapping[object, List[RunMeasurement]],
-    metric: str = "simulated_s",
+    metric: str = "wallclock_s",
     parameter_label: str = "value",
 ) -> str:
     """One row per method, one column per swept parameter value.

@@ -9,8 +9,8 @@ on a single machine.  It reproduces the quantities the paper measures:
   boundary (Figures 4 and 5, panels (b), (c), (e), (f));
 * the number of MapReduce jobs a method launches (the per-job fixed cost the
   paper attributes to the APRIORI methods);
-* per-task work, which feeds the simulated-cluster wallclock model used for
-  the resource-scaling experiment (Figure 7).
+* measured wallclock per task and per job, on one process or on a pool of
+  worker processes (the resource-scaling experiment, Figure 7, runs both).
 
 Execution backends
 ------------------
@@ -74,10 +74,8 @@ from repro.mapreduce.process import ProcessPoolJobRunner, make_runner
 from repro.mapreduce.shuffle import ExternalShuffle, PartitionInput
 from repro.mapreduce.pipeline import JobPipeline, PipelineResult
 from repro.mapreduce.cache import DistributedCache
-from repro.mapreduce.cluster import ClusterCostModel, SimulatedCluster
 
 __all__ = [
-    "ClusterCostModel",
     "CollectionDataset",
     "Combiner",
     "CounterGroup",
@@ -100,7 +98,6 @@ __all__ = [
     "ProcessPoolJobRunner",
     "Reducer",
     "Shard",
-    "SimulatedCluster",
     "SortComparator",
     "as_dataset",
     "make_runner",

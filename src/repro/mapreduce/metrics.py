@@ -1,10 +1,8 @@
 """Per-task and per-job execution metrics.
 
 These metrics are produced by the runner for every map and reduce task and
-consumed by the simulated-cluster cost model (:mod:`repro.mapreduce.cluster`)
-to derive wallclock estimates under a configurable number of map/reduce
-slots — the quantity varied in the paper's resource-scaling experiment
-(Figure 7).
+kept per job by the pipeline, so a run's measured wallclock can be split
+into map, reduce and framework time.
 """
 
 from __future__ import annotations
@@ -30,9 +28,6 @@ class TaskMetrics:
     output_bytes:
         Serialised size of the produced records (shuffle bytes for map tasks,
         job output bytes for reduce tasks).
-    sorted_records:
-        Records the framework sorted on behalf of this task (shuffle sort for
-        reduce tasks, combiner pre-sort for map tasks).
     elapsed_seconds:
         Measured wallclock seconds the task took in-process.
     """
@@ -42,7 +37,6 @@ class TaskMetrics:
     input_records: int
     output_records: int
     output_bytes: int
-    sorted_records: int = 0
     elapsed_seconds: float = 0.0
 
     def __post_init__(self) -> None:

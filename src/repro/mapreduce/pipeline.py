@@ -5,7 +5,7 @@ and 3), and the maximality/closedness extension of SUFFIX-σ adds a
 post-filtering job (Section VI.A).  :class:`JobPipeline` tracks every job run
 of a method, aggregates counters across jobs (the paper reports bytes/records
 as "aggregates over all Hadoop jobs launched") and exposes the per-job
-metrics needed by the cluster cost model.
+metrics (per-task work and wallclock).
 
 Job outputs are datasets (see :mod:`repro.mapreduce.dataset`), and the
 pipeline applies a *retention policy* to them: with the default

@@ -377,8 +377,6 @@ class LocalJobRunner:
             input_records=input_records,
             output_records=emitted_records,
             output_bytes=emitted_bytes,
-            # Only the combine buffer sorts on the map side.
-            sorted_records=emitted_records if combining else 0,
             elapsed_seconds=time.perf_counter() - started,
         )
         return None, metrics
@@ -428,7 +426,6 @@ class LocalJobRunner:
             input_records=input_records,
             output_records=sink.num_records,
             output_bytes=sink.serialized_bytes,
-            sorted_records=input_records,
             elapsed_seconds=time.perf_counter() - started,
         )
         return outcome, metrics

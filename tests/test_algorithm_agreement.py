@@ -183,17 +183,3 @@ class TestResultMetadata:
         assert result.map_output_bytes > 0
         assert result.num_jobs >= 1
         assert result.config.min_frequency == 3
-
-    def test_simulated_wallclock_positive(self, running_example):
-        from repro.config import ClusterConfig
-
-        result = count_ngrams(running_example, min_frequency=3, max_length=3)
-        assert result.simulated_wallclock(ClusterConfig()) > 0
-
-    def test_more_slots_not_slower(self, small_newswire):
-        from repro.config import ClusterConfig
-
-        result = count_ngrams(small_newswire, min_frequency=5, max_length=3)
-        slow = result.simulated_wallclock(ClusterConfig.with_slots(2))
-        fast = result.simulated_wallclock(ClusterConfig.with_slots(32))
-        assert fast <= slow + 1e-9

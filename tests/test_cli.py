@@ -5,6 +5,8 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.harness.export import read_measurements_json
+from repro.harness.figures import available_worker_counts
 
 
 @pytest.fixture()
@@ -184,6 +186,45 @@ class TestExperimentCommand:
             header = handle.readline()
         assert "algorithm" in header
         assert "records" in header
+
+    @pytest.mark.parametrize("name", ["ablations", "fig7"])
+    def test_track_memory_reaches_the_export(self, name, tmp_path, capsys):
+        export_path = str(tmp_path / f"{name}.json")
+        args = ["experiment", name, "--scale", "0.05", "--track-memory"]
+        assert main(args + ["--export-json", export_path]) == 0
+        rows = read_measurements_json(export_path)
+        assert rows
+        assert all(type(row["peak_mem_bytes"]) is int for row in rows)
+
+    @pytest.mark.parametrize(
+        "name, x, flags",
+        [
+            ("fig3", "sigma", []),
+            ("fig4", "tau", []),
+            ("fig5", "sigma", []),
+            ("fig6", "fraction_pct", ["--fractions", "0.5,1"]),
+            # fig7 picks its runner and workers but keeps these settings.
+            ("fig7", "workers", ["--spill-threshold", "500r", "--materialize", "disk", "--shard-codec", "gzip"]),
+        ],
+    )
+    def test_export_rows_carry_their_x_axis(self, name, x, flags, tmp_path, capsys):
+        export_path = str(tmp_path / f"{name}.json")
+        args = ["experiment", name, "--scale", "0.05", "--export-json", export_path]
+        assert main(args + flags) == 0
+        assert "wallclock_s" in capsys.readouterr().out
+        rows = read_measurements_json(export_path)
+        assert rows and all(row[x] is not None for row in rows)
+        cells = [(row["dataset"], row["algorithm"], row[x]) for row in rows]
+        assert len(set(cells)) == len(cells)
+        if name == "fig6":
+            assert {row["fraction_pct"] for row in rows} == {50, 100}
+        if name == "fig7":
+            assert {row["workers"] for row in rows} == set(available_worker_counts())
+
+    @pytest.mark.parametrize("flags", [["--runner", "processes"], ["--workers", "2"]])
+    def test_fig7_refuses_runner_and_workers(self, flags):
+        with pytest.raises(SystemExit, match="not supported for fig7"):
+            main(["experiment", "fig7", "--scale", "0.05"] + flags)
 
 
 class TestApplicationCommands:

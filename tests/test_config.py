@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import ClusterConfig, NGramJobConfig, UNBOUNDED
+from repro.config import NGramJobConfig, UNBOUNDED
 from repro.exceptions import ConfigurationError
 
 
@@ -62,26 +62,6 @@ class TestNGramJobConfig:
         config = NGramJobConfig()
         with pytest.raises(Exception):
             config.min_frequency = 10  # type: ignore[misc]
-
-
-class TestClusterConfig:
-    def test_defaults_are_valid(self):
-        config = ClusterConfig()
-        assert config.map_slots >= 1
-        assert config.reduce_slots >= 1
-
-    def test_with_slots(self):
-        config = ClusterConfig.with_slots(32)
-        assert config.map_slots == 32
-        assert config.reduce_slots == 32
-
-    def test_rejects_zero_slots(self):
-        with pytest.raises(ConfigurationError):
-            ClusterConfig(map_slots=0)
-
-    def test_rejects_negative_overhead(self):
-        with pytest.raises(ConfigurationError):
-            ClusterConfig(job_overhead=-1.0)
 
 
 class TestParseSpillThreshold:

@@ -9,26 +9,24 @@ from repro.harness.export import (
     CSV_COLUMNS,
     measurements_to_rows,
     read_measurements_json,
-    sweep_to_rows,
     write_measurements_csv,
     write_measurements_json,
-    write_sweep_csv,
 )
 from repro.harness.measurement import RunMeasurement
 
 
-def _measurement(algorithm="SUFFIX-SIGMA", tau=5, records=100):
+def _measurement(algorithm="SUFFIX-SIGMA", tau=5, records=100, **swept):
     return RunMeasurement(
         algorithm=algorithm,
         dataset="NYT-like",
         min_frequency=tau,
         max_length=5,
         wallclock_seconds=0.5,
-        simulated_wallclock_seconds=1.5,
         map_output_records=records,
         map_output_bytes=1000,
         num_jobs=1,
         num_ngrams=10,
+        **swept,
     )
 
 
@@ -39,10 +37,10 @@ class TestRows:
         assert rows[0]["algorithm"] == "SUFFIX-SIGMA"
         assert set(CSV_COLUMNS) <= set(rows[0])
 
-    def test_sweep_to_rows(self):
-        sweep = {10: [_measurement(tau=10)], 100: [_measurement(tau=100)]}
-        rows = sweep_to_rows(sweep, parameter_name="tau_value")
-        assert {row["tau_value"] for row in rows} == {10, 100}
+    def test_rows_carry_the_swept_value(self):
+        rows = measurements_to_rows([_measurement(fraction_pct=50), _measurement(workers=2)])
+        assert [row["fraction_pct"] for row in rows] == [50, None]
+        assert [row["workers"] for row in rows] == [None, 2]
 
 
 class TestCSV:
@@ -55,21 +53,24 @@ class TestCSV:
         assert rows[0]["algorithm"] == "SUFFIX-SIGMA"
         assert rows[0]["records"] == "100"
 
-    def test_write_sweep_csv(self, tmp_path):
+    def test_csv_carries_the_swept_value(self, tmp_path):
         path = str(tmp_path / "sweep.csv")
-        sweep = {10: [_measurement(tau=10)], 20: [_measurement(tau=20, algorithm="NAIVE")]}
-        write_sweep_csv(sweep, path, parameter_name="tau")
+        write_measurements_csv([_measurement(workers=1), _measurement(workers=2)], path)
         with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.DictReader(handle))
-        assert {row["tau"] for row in rows} == {"10", "20"}
+            reader = csv.DictReader(handle)
+            rows = list(reader)
+        assert {"tau", "sigma", "fraction_pct", "workers"} <= set(reader.fieldnames)
+        assert [row["workers"] for row in rows] == ["1", "2"]
+        assert [row["fraction_pct"] for row in rows] == ["", ""]
 
 
 class TestJSON:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "measurements.json")
-        write_measurements_json([_measurement(records=123)], path)
+        write_measurements_json([_measurement(records=123, fraction_pct=25)], path)
         rows = read_measurements_json(path)
         assert rows[0]["records"] == 123
+        assert rows[0]["fraction_pct"] == 25
         assert rows[0]["dataset"] == "NYT-like"
 
     def test_read_rejects_non_array(self, tmp_path):

@@ -1,7 +1,11 @@
 """Smoke tests for the per-figure experiment drivers (tiny datasets)."""
 
+import os
+from dataclasses import replace
+
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.harness import figures
 from repro.harness.datasets import clueweb_like, nytimes_like
 from repro.harness.experiment import ExperimentRunner
@@ -55,13 +59,49 @@ class TestFigureDrivers:
     def test_figure6(self, tiny_datasets, runner):
         sweeps = figures.figure6_scale_datasets(tiny_datasets, runner, fractions=(0.5, 1.0))
         assert set(sweeps["NYT-like"]) == {50, 100}
+        for percent, measurements in sweeps["CW-like"].items():
+            assert {m.fraction_pct for m in measurements} == {percent}
 
-    def test_figure7(self, tiny_datasets):
-        sweeps = figures.figure7_scale_slots(tiny_datasets, slot_counts=(4, 16))
-        sweep = sweeps["NYT-like"]
-        assert set(sweep) == {4, 16}
-        for slots, measurements in sweep.items():
-            assert len(measurements) == 4
+    def test_figure7(self, tiny_datasets, monkeypatch):
+        executions = []
+
+        class RecordingRunner(ExperimentRunner):
+            def __init__(self, **options):
+                super().__init__(**options)
+                executions.append(self.execution)
+
+        monkeypatch.setattr(figures, "ExperimentRunner", RecordingRunner)
+        execution = ExecutionConfig(
+            spill_threshold_records=50, materialize="disk", shard_codec="gzip"
+        )
+        sweeps = figures.figure7_scale_slots(
+            tiny_datasets, worker_counts=(1, 2), execution=execution
+        )
+        assert [(e.runner, e.max_workers) for e in executions] == [
+            ("processes", 1),
+            ("processes", 2),
+        ] * 2
+        assert {replace(e, runner="local", max_workers=None) for e in executions} == {execution}
+        for sweep in sweeps.values():
+            assert set(sweep) == {1, 2}
+            for workers, measurements in sweep.items():
+                assert len(measurements) == 4
+                assert {m.workers for m in measurements} == {workers}
+
+            def counted(workers):
+                return {
+                    m.algorithm: (m.map_output_records, m.map_output_bytes, m.num_jobs, m.num_ngrams)
+                    for m in sweep[workers]
+                }
+
+            assert counted(1) == counted(2)
+
+    def test_available_worker_counts_are_powers_of_two(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+        assert figures.available_worker_counts() == (1, 2, 4)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert figures.available_worker_counts() == (1, 2)
 
     def test_extensions_overview(self, tiny_datasets):
         result = figures.extensions_overview(tiny_datasets, min_frequency=3, max_length=4)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import ClusterConfig
 from repro.exceptions import ExperimentError
 from repro.harness.datasets import clueweb_like, default_datasets, nytimes_like
 from repro.harness.experiment import DEFAULT_METHODS, ExperimentRunner
@@ -67,7 +66,7 @@ class TestExperimentRunner:
         assert measurement.dataset == "NYT-like"
         assert measurement.map_output_records == result.map_output_records
         assert measurement.num_ngrams == len(result.statistics)
-        assert measurement.simulated_wallclock_seconds > 0
+        assert measurement.wallclock_seconds == result.elapsed_seconds > 0
 
     def test_unknown_algorithm_rejected(self, tiny_nyt, tiny_collection):
         runner = ExperimentRunner()
@@ -110,13 +109,6 @@ class TestExperimentRunner:
                 tiny_collection, tiny_nyt.name, "bogus", (1,), fixed_tau=1, fixed_sigma=1
             )
 
-    def test_custom_cluster_changes_simulated_wallclock(self, tiny_nyt, tiny_collection):
-        runner_slow = ExperimentRunner(cluster=ClusterConfig.with_slots(1))
-        runner_fast = ExperimentRunner(cluster=ClusterConfig.with_slots(64))
-        slow, _ = runner_slow.run_once("NAIVE", tiny_collection, tiny_nyt.name, 3, 3)
-        fast, _ = runner_fast.run_once("NAIVE", tiny_collection, tiny_nyt.name, 3, 3)
-        assert fast.simulated_wallclock_seconds <= slow.simulated_wallclock_seconds
-
 
 class TestMeasurement:
     def _measurement(self, **overrides):
@@ -126,7 +118,6 @@ class TestMeasurement:
             min_frequency=5,
             max_length=None,
             wallclock_seconds=1.5,
-            simulated_wallclock_seconds=2.5,
             map_output_records=100,
             map_output_bytes=1000,
             num_jobs=1,

@@ -571,21 +571,6 @@ class TestEndToEndAcceptance:
             assert dict(store.items()) == result.statistics.as_dict()
             assert store.vocabulary is not None
 
-    def test_experiment_runner_persists_stores(self, tmp_path):
-        from repro.harness.experiment import ExperimentRunner
-
-        collection = nytimes_like(num_documents=15, seed=2).build()
-        runner = ExperimentRunner(store_dir=str(tmp_path / "stores"))
-        measurement, result = runner.run_once("NAIVE", collection, "NYT-like", 3, 3)
-        assert result.store_dir is not None
-        with NGramStore.open(result.store_dir) as store:
-            assert len(store) == measurement.num_ngrams
-        # A sweep repeating the same cell must not overwrite the first store.
-        _, second = runner.run_once("NAIVE", collection, "NYT-like", 3, 3)
-        assert second.store_dir != result.store_dir
-        with NGramStore.open(second.store_dir) as store:
-            assert len(store) == measurement.num_ngrams
-
 
 # ------------------------------------------------------- top-k block skipping
 def skewed_records(count=4096, block=64):

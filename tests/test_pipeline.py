@@ -1,7 +1,10 @@
 """Tests for multi-job pipelines."""
 
+import pytest
+
 from repro.mapreduce.counters import MAP_OUTPUT_RECORDS
 from repro.mapreduce.job import JobSpec, Mapper, Reducer
+from repro.mapreduce.metrics import JobMetrics, TaskMetrics
 from repro.mapreduce.pipeline import JobPipeline, PipelineResult
 
 
@@ -94,6 +97,39 @@ class TestJobPipeline:
         assert result.num_jobs == 0
         assert result.final_output == []
         assert result.counters.map_output_records == 0
+
+
+class TestTaskMetrics:
+    def test_invalid_task_type(self):
+        with pytest.raises(ValueError):
+            TaskMetrics(task_type="shuffle", task_index=0, input_records=0, output_records=0, output_bytes=0)
+
+    def test_job_metrics_aggregates(self):
+        metrics = JobMetrics(job_name="test")
+        for index in range(3):
+            metrics.map_tasks.append(
+                TaskMetrics(
+                    task_type="map",
+                    task_index=index,
+                    input_records=10,
+                    output_records=10,
+                    output_bytes=100,
+                )
+            )
+        for index in range(2):
+            metrics.reduce_tasks.append(
+                TaskMetrics(
+                    task_type="reduce",
+                    task_index=index,
+                    input_records=10,
+                    output_records=1,
+                    output_bytes=10,
+                )
+            )
+        assert metrics.num_map_tasks == 3
+        assert metrics.num_reduce_tasks == 2
+        assert metrics.map_output_records == 30
+        assert metrics.reduce_output_records == 2
 
 
 class TestJobMetricsPublication:
